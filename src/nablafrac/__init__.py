@@ -14,7 +14,7 @@ from .errors import (
     SingularSystemError,
 )
 from .grid import Grid, GridFunction, constant_grid_function, make_grid_function, nabla_integral
-from .monomial import rising, taylor_monomial
+from .monomial import kernel_weights, rising, taylor_monomial
 from .fraccalc import (
     FracOrder,
     caputo_difference,
@@ -91,6 +91,7 @@ __all__ = [
     "greens_solve",
     "homogeneous_basis",
     "ic_to_values",
+    "kernel_weights",
     "leading_coefficient",
     "left_bc_eval",
     "make_grid_function",

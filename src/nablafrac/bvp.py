@@ -9,10 +9,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NearSingularError
+from .errors import NearSingularError, OffGridError
 from .grid import Grid, GridFunction
-from .ivp import variation_of_constants, homogeneous_basis
-from .linalg import gauss_solve, pivot_det
+from .ivp import InitialConditions, homogeneous_basis, solve_ivp
+from .linalg import gauss_solve
 from .operator import FracOperator
 
 _RANK_TOL = 1e-10
@@ -96,7 +96,7 @@ class DMatrix:
 
     @property
     def det(self) -> float:
-        return pivot_det(self.entries)
+        return float(np.linalg.det(self.entries))
 
     def is_near_singular(self) -> bool:
         row_norms = np.max(np.abs(self.entries), axis=1)
@@ -124,7 +124,7 @@ def solve_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
               basis: Sequence[GridFunction] | None = None) -> GridFunction:
     """Solve L x = h subject to ``spec`` within the span of ``basis``.
 
-    x = x_p + sum a_k x_k with x_p from variation of constants and the
+    x = x_p + sum a_k x_k with x_p the zero-data IVP solution and the
     a_k from the D-matrix system.  Defaults to the numeric identity-IC
     basis (zero ghost closure).  Raises :class:`NearSingularError` when
     det D vanishes at tolerance.
@@ -136,16 +136,25 @@ def solve_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
         raise NearSingularError(
             f"boundary matrix is singular at tolerance (det = {d.det:.3e})"
         )
-    xp = variation_of_constants(op, h)
+    xp = solve_ivp(op, h, InitialConditions.zeros(op.N))
     n = spec.N
     rhs = np.empty(n + 1)
     for i in range(n):
         rhs[i] = spec.left_values[i] - left_bc_eval(xp, spec.alpha[i], op.a)
     rhs[n] = spec.right_value - right_bc_eval(xp, spec.beta, op.b)
     coeffs = gauss_solve(d.entries, rhs)
-    lo = -(op.N - 1)
-    vals = tuple(
-        xp.at(k) + sum(c * x.at(k) for c, x in zip(coeffs, basis))
-        for k in range(lo, op.b_offset + 1)
-    )
-    return GridFunction(Grid(op.a, lo, op.b_offset), vals)
+    vals = np.add(xp.values, coeffs @ basis_values(basis, xp.grid))
+    return GridFunction(xp.grid, vals)
+
+
+def basis_values(basis: Sequence[GridFunction], grid: Grid) -> np.ndarray:
+    """The basis tabulated on ``grid``: one row per basis function."""
+    rows = []
+    for x in basis:
+        if x.grid.lo > grid.lo or x.grid.hi < grid.hi:
+            raise OffGridError(
+                f"basis function on [{x.grid.lo}, {x.grid.hi}] does not cover "
+                f"[{grid.lo}, {grid.hi}]"
+            )
+        rows.append(x.values[grid.lo - x.grid.lo:grid.hi + 1 - x.grid.lo])
+    return np.array(rows)

@@ -17,15 +17,9 @@ import sys
 from typing import Sequence
 
 from .bvp import BoundarySpec, left_bc_eval, right_bc_eval, solve_bvp
-from .errors import DegenerateDenominatorError, NearSingularError
+from .errors import DegenerateDenominatorError, NearSingularError, SingularSystemError
 from .grid import Grid, GridFunction
-from .ivp import (
-    InitialConditions,
-    cauchy_function,
-    homogeneous_basis,
-    solve_ivp,
-    variation_of_constants,
-)
+from .ivp import InitialConditions, cauchy_function, homogeneous_basis, solve_ivp
 from .greens import build_greens, compare_greens, conjugate_greens_closed_form, greens_solve
 from .monomial import taylor_monomial
 from .operator import FracOperator, GhostClosure
@@ -385,7 +379,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NearSingularError, DegenerateDenominatorError) as exc:
+    except (NearSingularError, DegenerateDenominatorError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

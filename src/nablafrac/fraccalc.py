@@ -2,8 +2,9 @@
 
 Every operator maps a :class:`GridFunction` to a :class:`GridFunction`
 tabulated on exactly the offsets where its defining formula makes sense;
-there is no silent zero-padding.  Convolution sums are evaluated
-directly at O(n^2) total cost, which is plenty for desk-scale grids.
+there is no silent zero-padding.  Every fractional sum, and through it
+every Riemann-Liouville and Caputo difference, is one ``np.convolve``
+with the kernel weights of :func:`~nablafrac.monomial.kernel_weights`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grid import Grid, GridFunction
-from .monomial import taylor_monomial
+from .monomial import kernel_weights
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,7 @@ def nabla(f: GridFunction) -> GridFunction:
     g = f.grid
     if len(g) < 2:
         raise ValueError("nabla needs at least 2 points")
-    vals = tuple(f.values[i] - f.values[i - 1] for i in range(1, len(g)))
-    return GridFunction(Grid(g.base, g.lo + 1, g.hi), vals)
+    return GridFunction(Grid(g.base, g.lo + 1, g.hi), np.diff(f.values))
 
 
 def nabla_n(f: GridFunction, n: int) -> GridFunction:
@@ -78,13 +80,11 @@ def frac_integral(f: GridFunction, base: float, nu: float) -> GridFunction:
         raise ValueError(f"integral order must be positive, got {nu}")
     b = _base_offset(f, base)
     hi = f.grid.hi
-    vals = []
-    for m in range(0, hi - b + 1):
-        acc = 0.0
-        for s in range(1, m + 1):
-            acc += taylor_monomial(m - s + 1, nu - 1.0) * f.at(b + s)
-        vals.append(acc)
-    return GridFunction(Grid(f.grid.base, b, hi), tuple(vals))
+    vals = np.zeros(hi - b + 1)
+    if hi > b:  # np.convolve rejects the empty sum at a base on f's last point
+        w = kernel_weights(hi - b, nu - 1.0)
+        vals[1:] = np.convolve(w[1:], f.values[b + 1 - f.grid.lo:])[:hi - b]
+    return GridFunction(Grid(f.grid.base, b, hi), vals)
 
 
 def rl_difference(f: GridFunction, base: float, nu: float, extend: bool = False) -> GridFunction:

@@ -15,12 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .bvp import BoundarySpec, assemble_d, right_bc_eval
+from .bvp import BoundarySpec, assemble_d, basis_values, right_bc_eval
 from .errors import DegenerateDenominatorError, NearSingularError
 from .grid import Grid, GridFunction
 from .ivp import cauchy_function
 from .linalg import gauss_solve
-from .monomial import taylor_monomial
+from .monomial import kernel_weights
 from .operator import FracOperator
 
 _DEGENERATE_TOL = 1e-12
@@ -65,20 +65,17 @@ class GreensFunction:
         )
 
 
+def _grid_offsets(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """t offsets [a-N+1, b] as a column and s offsets [a+N+1, b] as a row."""
+    return np.arange(-(n - 1), b + 1)[:, None], np.arange(n + 1, b + 1)[None, :]
+
+
 def _branch_table(n: int, b: int) -> np.ndarray:
-    t_lo = -(n - 1)
-    branch = np.empty((b - t_lo + 1, b - n), dtype="U2")
-    for ti, t in enumerate(range(t_lo, b + 1)):
-        for si, s in enumerate(range(n + 1, b + 1)):
-            in_u = 0 <= t <= b - n and s >= max(t + 1, n + 1)
-            in_v = n <= t <= b and s <= min(t + 1, b)
-            if in_v:
-                branch[ti, si] = "v"
-            elif in_u:
-                branch[ti, si] = "u"
-            else:
-                branch[ti, si] = "u*"
-    return branch
+    # stated regions: u on 0 <= t <= b-N, s >= t+1 and v on t >= N, s <= t+1
+    t, s = _grid_offsets(n, b)
+    in_v = (t >= n) & (s <= t + 1)
+    in_u = (t >= 0) & (t <= b - n) & (s >= t + 1)
+    return np.where(in_v, "v", np.where(in_u, "u", "u*"))
 
 
 def _assemble(a, nu, n, b, u, v, branch) -> GreensFunction:
@@ -93,7 +90,9 @@ def build_greens(op: FracOperator, spec: BoundarySpec,
 
     For each s, u(., s) solves the homogeneous equation with zero left
     boundary conditions and right condition equal to minus the right
-    boundary functional of the Cauchy column; v = u + Cauchy column.
+    boundary functional r(s) of the Cauchy column; v = u + Cauchy column.
+    Only the last boundary value depends on s, so one solve of D c = e_N
+    gives every column: u(., s) = -r(s) * sum_k c_k x_k.
     """
     n = op.N
     b = op.b_offset
@@ -103,19 +102,16 @@ def build_greens(op: FracOperator, spec: BoundarySpec,
             f"boundary matrix is singular at tolerance (det = {d.det:.3e})"
         )
     cf = cauchy_function(op)
-    t_lo = -(n - 1)
-    t_offsets = range(t_lo, b + 1)
-    shape = (b - t_lo + 1, b - n)
-    u = np.empty(shape)
-    v = np.empty(shape)
-    for si, s in enumerate(range(n + 1, b + 1)):
-        rhs = np.zeros(n + 1)
-        rhs[n] = -right_bc_eval(cf.column(s), spec.beta, op.b)
-        coeffs = gauss_solve(d.entries, rhs)
-        for ti, t in enumerate(t_offsets):
-            u[ti, si] = sum(c * x.at(t) for c, x in zip(coeffs, basis))
-            v[ti, si] = u[ti, si] + cf.value(t, s)
-    return _assemble(op.a, op.nu, n, b, u, v, _branch_table(n, b))
+    grid = Grid(op.a, -(n - 1), b)
+    cauchy = np.zeros((len(grid), b - n))  # zero below each column's grid
+    r = np.empty(b - n)
+    for si, s in enumerate(cf.s_offsets()):
+        col = cf.column(s)
+        cauchy[col.grid.lo - grid.lo:, si] = col.values
+        r[si] = right_bc_eval(col, spec.beta, op.b)
+    c = gauss_solve(d.entries, np.eye(n + 1)[n])
+    u = -np.outer(c @ basis_values(basis, grid), r)
+    return _assemble(op.a, op.nu, n, b, u, u + cauchy, _branch_table(n, b))
 
 
 def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunction:
@@ -133,21 +129,19 @@ def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunctio
     if b_off < 3:
         raise ValueError(f"b - a must be at least 3, got {b_off}")
     n = 2
-    denom = b_off - taylor_monomial(b_off, nu)
+    w = kernel_weights(b_off, nu)  # H_nu(a+m, a) for m = 0..b-a
+
+    def mono(m):  # H_nu(a+m, a) vanishes for m <= 0
+        return w[np.maximum(m, 0)]
+
+    denom = b_off - w[b_off]
     if abs(denom) < _DEGENERATE_TOL * abs(b_off):
         raise DegenerateDenominatorError(
             f"b - a - H_nu(b, a) = {denom:.3e} vanishes at tolerance"
         )
-    t_lo = -(n - 1)
-    shape = (b_off - t_lo + 1, b_off - n)
-    u = np.empty(shape)
-    v = np.empty(shape)
-    for ti, t in enumerate(range(t_lo, b_off + 1)):
-        ramp = (t - taylor_monomial(t, nu)) / denom
-        for si, s in enumerate(range(n + 1, b_off + 1)):
-            u[ti, si] = -taylor_monomial(b_off - s + 1, nu) * ramp
-            v[ti, si] = u[ti, si] + taylor_monomial(t - s + 1, nu)
-    return _assemble(a, nu, n, b_off, u, v, _branch_table(n, b_off))
+    t, s = _grid_offsets(n, b_off)
+    u = -mono(b_off - s + 1) * ((t - mono(t)) / denom)
+    return _assemble(a, nu, n, b_off, u, u + mono(t - s + 1), _branch_table(n, b_off))
 
 
 def greens_solve(g: GreensFunction, h: GridFunction) -> GridFunction:
@@ -156,8 +150,7 @@ def greens_solve(g: GreensFunction, h: GridFunction) -> GridFunction:
     b = g.b_offset
     if abs(h.grid.base - g.a) > 1e-9 or h.grid.lo > n + 1 or h.grid.hi < b:
         raise ValueError(f"h must cover offsets [{n + 1}, {b}] based at a")
-    hs = np.array([h.at(s) for s in range(n + 1, b + 1)])
-    vals = g.G @ hs
+    vals = g.G @ [h.at(s) for s in range(n + 1, b + 1)]
     return GridFunction(Grid(g.a, g.t_lo, b), tuple(vals))
 
 

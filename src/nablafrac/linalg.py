@@ -1,8 +1,8 @@
 """Small dense linear algebra: Gaussian elimination with partial pivoting.
 
 The systems here are tiny ((N+1)x(N+1) boundary systems and desk-scale
-dense oracle systems), so a plain elimination with the determinant
-reported as the signed pivot product is all that is warranted.
+dense oracle systems), so a plain elimination that refuses a vanishing
+pivot is all that is warranted.
 """
 
 from __future__ import annotations
@@ -10,32 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularSystemError
-
-
-def _eliminate(a: np.ndarray, rhs: np.ndarray | None):
-    """Row-reduce ``a`` (and ``rhs``) in place with partial pivoting.
-
-    Returns (pivots, sign); pivots in elimination order.
-    """
-    n = a.shape[0]
-    sign = 1.0
-    pivots = np.empty(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            if rhs is not None:
-                rhs[[k, p]] = rhs[[p, k]]
-            sign = -sign
-        pivots[k] = a[k, k]
-        if a[k, k] != 0.0:
-            for i in range(k + 1, n):
-                lam = a[i, k] / a[k, k]
-                if lam != 0.0:
-                    a[i, k:] -= lam * a[k, k:]
-                    if rhs is not None:
-                        rhs[i] -= lam * rhs[k]
-    return pivots, sign
 
 
 def gauss_solve(matrix, rhs, singular_tol: float = 1e-13) -> np.ndarray:
@@ -52,7 +26,19 @@ def gauss_solve(matrix, rhs, singular_tol: float = 1e-13) -> np.ndarray:
         raise ValueError("rhs length does not match matrix")
     n = a.shape[0]
     norm = np.max(np.sum(np.abs(a), axis=1))
-    pivots, _ = _eliminate(a, b)
+    pivots = np.empty(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            b[[k, p]] = b[[p, k]]
+        pivots[k] = a[k, k]
+        if a[k, k] != 0.0:
+            for i in range(k + 1, n):
+                lam = a[i, k] / a[k, k]
+                if lam != 0.0:
+                    a[i, k:] -= lam * a[k, k:]
+                    b[i] -= lam * b[k]
     if np.min(np.abs(pivots)) < singular_tol * max(norm, 1.0):
         raise SingularSystemError(
             f"pivot {np.min(np.abs(pivots)):.3e} below tolerance for matrix norm {norm:.3e}"
@@ -61,20 +47,3 @@ def gauss_solve(matrix, rhs, singular_tol: float = 1e-13) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
     return x
-
-
-def pivot_det(matrix) -> float:
-    """Determinant as the signed product of elimination pivots."""
-    a = np.array(matrix, dtype=float)
-    pivots, sign = _eliminate(a, None)
-    return sign * float(np.prod(pivots))
-
-
-def pivot_condition(matrix) -> float:
-    """Crude condition estimate: max/min pivot magnitude ratio."""
-    a = np.array(matrix, dtype=float)
-    pivots, _ = _eliminate(a, None)
-    mags = np.abs(pivots)
-    if np.min(mags) == 0.0:
-        return float("inf")
-    return float(np.max(mags) / np.min(mags))

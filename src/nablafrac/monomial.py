@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def _is_integer(nu: float) -> bool:
     return float(nu).is_integer()
@@ -74,4 +76,22 @@ def taylor_monomial(m: int, nu: float) -> float:
     out = 1.0
     for j in range(1, m):
         out *= (nu + j) / j
+    return out
+
+
+def kernel_weights(m: int, nu: float) -> np.ndarray:
+    """``H_nu(a+k, a)`` for ``k = 0..m`` as one array, for orders ``nu > -1``.
+
+    They are the convolution weights of the order ``nu+1`` fractional sum;
+    the Caputo kernel is ``kernel_weights(m, N-nu-1)``.  One cumulative
+    product of ``(nu+j)/j``, taken in the order :func:`taylor_monomial`
+    multiplies, so non-integer orders agree with it bit for bit and
+    integer orders to rounding.
+    """
+    if not nu > -1.0:
+        raise ValueError(f"kernel weights need an order above -1, got {nu}")
+    j = np.arange(1.0, m)
+    out = np.empty(m + 1)
+    out[0] = 1.0 if nu == 0.0 else 0.0
+    out[1:] = np.cumprod(np.concatenate(([1.0], (nu + j) / j)))[:m]
     return out

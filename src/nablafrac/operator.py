@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .fraccalc import caputo_difference, nabla
+import numpy as np
+
+from .fraccalc import caputo_difference
 from .grid import Grid, GridFunction, constant_grid_function
 
 
@@ -139,16 +141,10 @@ def apply(op: FracOperator, x: GridFunction) -> GridFunction:
         raise ValueError(
             f"x must cover offsets [{-(n - 1)}, {b}], got [{x.grid.lo}, {x.grid.hi}]"
         )
-    cap = caputo_difference(x, op.a, op.nu)  # on [0, hi]
-    weighted = GridFunction(
-        Grid(op.a, n, b),
-        tuple(op.p.at(k) * cap.at(k) for k in range(n, b + 1)),
-    )
-    outer = nabla(weighted)  # on [n+1, b]
-    vals = tuple(
-        outer.at(k) + op.q.at(k) * x.at(k - 1) for k in range(n + 1, b + 1)
-    )
-    return GridFunction(Grid(op.a, n + 1, b), vals)
+    cap = caputo_difference(x, op.a, op.nu).values  # on [0, x.grid.hi]
+    flux = np.multiply(op.p.values, cap[n:b + 1])  # on [n, b]
+    shifted = np.multiply(op.q.values, x.values[n - x.grid.lo:b - x.grid.lo])
+    return GridFunction(Grid(op.a, n + 1, b), np.diff(flux) + shifted)
 
 
 def leading_coefficient(op: FracOperator, t: float) -> float:

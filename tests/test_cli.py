@@ -118,6 +118,20 @@ class TestSolveBvp:
         }
         assert main(["solve-bvp", "--config", write_config(tmp_path, cfg)]) == 1
 
+    def test_singular_system_exits_two(self, tmp_path, capsys):
+        # q = -1 makes the basis grow to ~1e15, so the D solve hits a
+        # pivot below its tolerance
+        cfg = ivp_config(b_offset=30, nu=2.5, q=-1.0)
+        cfg["problem"] = {
+            "type": "bvp",
+            "alpha": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+            "A": [0.0, 0.0, 0.0],
+            "beta": [1.0, 0.0, 0.0, 0.0],
+            "B": 0.0,
+        }
+        assert main(["solve-bvp", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "pivot" in capsys.readouterr().err
+
 
 class TestGreens:
     def test_conjugate_closed_form_contains_spot_value(self, tmp_path):

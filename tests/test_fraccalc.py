@@ -103,6 +103,25 @@ class TestFracIntegral:
             assert fi.at(m) == pytest.approx(oracle, abs=1e-13)
             assert fi.at(m) == pytest.approx(taylor_monomial(m, nu + mu), rel=1e-12, abs=1e-12)
 
+    def test_convolution_matches_direct_sum(self, rng):
+        # loop transcription of the defining sum; the base sits inside f's grid
+        f = GridFunction(Grid(0.0, -2, 30), tuple(rng.uniform(-1, 1, 33)))
+        for nu in (0.4, 1.0, 1.5, 2.7):
+            fi = frac_integral(f, 3.0, nu)
+            assert (fi.grid.lo, fi.grid.hi) == (3, 30)
+            for m in range(0, 28):
+                direct = sum(taylor_monomial(m - s + 1, nu - 1.0) * f.at(3 + s)
+                             for s in range(1, m + 1))
+                scale = sum(abs(taylor_monomial(m - s + 1, nu - 1.0) * f.at(3 + s))
+                            for s in range(1, m + 1))
+                assert abs(fi.at(3 + m) - direct) <= 1e-14 * scale
+
+    def test_base_at_last_point_gives_single_zero(self):
+        f = constant_grid_function(Grid(0.0, 1, 5), 2.0)
+        fi = frac_integral(f, 5.0, 0.5)
+        assert (fi.grid.lo, fi.grid.hi) == (5, 5)
+        assert fi.values == (0.0,)
+
     def test_base_off_grid_rejected(self):
         f = constant_grid_function(Grid(0.0, 1, 5), 1.0)
         with pytest.raises(ValueError):

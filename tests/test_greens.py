@@ -5,12 +5,15 @@ from nablafrac import (
     BoundarySpec,
     DegenerateDenominatorError,
     FracOperator,
+    GhostClosure,
     Grid,
     GridFunction,
     NearSingularError,
+    assemble_bvp,
     build_greens,
     compare_greens,
     conjugate_greens_closed_form,
+    dense_solve,
     greens_solve,
     homogeneous_basis,
     left_bc_eval,
@@ -19,7 +22,7 @@ from nablafrac import (
     solve_bvp,
     taylor_monomial,
 )
-from conftest import max_gap, random_forcing
+from conftest import max_gap, random_forcing, random_operator
 
 
 def conjugate_setup(a, b_off, nu):
@@ -113,6 +116,23 @@ class TestBuildGreens:
         assert compare_greens(
             build_greens(op, spec, basis), build_greens(op, spec, scaled)
         ) < 1e-10
+
+    def test_variable_coefficients_numeric_basis(self, rng):
+        op = random_operator(rng, 0.0, 1.5, 12)
+        spec = BoundarySpec.conjugate()
+        g = build_greens(op, spec, homogeneous_basis(op))
+        for s in range(3, 13):
+            col = g.column(s)
+            for row in spec.alpha:
+                assert abs(left_bc_eval(col, row, 0.0)) < 1e-12
+            assert abs(right_bc_eval(col, spec.beta, 12.0)) < 1e-12
+        for trial in range(5):
+            h = random_forcing(rng, op)
+            x = greens_solve(g, h)
+            assert max_gap(x, solve_bvp(op, h, spec)) < 1e-9
+            # the numeric basis has zero ghost values, and so has G
+            dense = dense_solve(assemble_bvp(op, h, spec, GhostClosure.zero()))
+            assert max_gap(x, dense) < 1e-9
 
     def test_singular_d_refused(self):
         op, spec, basis = conjugate_setup(0.0, 9, 1.5)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from nablafrac import rising, taylor_monomial
+from nablafrac import kernel_weights, rising, taylor_monomial
 
 
 def gamma_ratio(m, nu):
@@ -113,3 +113,27 @@ def test_difference_identity(m, nu):
     diff = taylor_monomial(m, nu) - taylor_monomial(m - 1, nu)
     scale = max(1.0, abs(taylor_monomial(m, nu)))
     assert diff == pytest.approx(taylor_monomial(m, nu - 1.0), rel=1e-10, abs=1e-12 * scale)
+
+
+class TestKernelWeights:
+    def test_bit_equal_to_scalar_monomial_for_fractional_orders(self):
+        for nu in (-0.999, -0.5, -0.3, 0.01, 0.5, 1.5, 2.7, 3.999):
+            expected = [taylor_monomial(m, nu) for m in range(801)]
+            assert kernel_weights(800, nu).tolist() == expected
+
+    def test_integer_orders_agree_to_rounding(self):
+        for nu in (0.0, 1.0, 2.0):
+            w = kernel_weights(500, nu)
+            for m in range(501):
+                assert w[m] == pytest.approx(taylor_monomial(m, nu), rel=1e-13, abs=0.0)
+
+    def test_short_lengths(self):
+        assert kernel_weights(0, 0.5).tolist() == [0.0]
+        assert kernel_weights(0, 0.0).tolist() == [1.0]
+        assert kernel_weights(1, 1.5).tolist() == [0.0, 1.0]
+
+    def test_orders_at_or_below_minus_one_rejected(self):
+        with pytest.raises(ValueError):
+            kernel_weights(5, -1.0)
+        with pytest.raises(ValueError):
+            kernel_weights(5, -1.5)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,24 @@ class TestDenseSolve:
         sys.matrix[3] = sys.matrix[2]
         with pytest.raises(SingularSystemError):
             dense_solve(sys)
+
+
+class TestConditionLogging:
+    def test_condition_logged_at_debug(self, rng, caplog):
+        op = random_operator(rng, 0.0, 1.5, 8)
+        sys = assemble_ivp(op, zero_forcing(op), InitialConditions.zeros(2))
+        with caplog.at_level(logging.DEBUG, logger="nablafrac.oracle"):
+            dense_solve(sys)
+        assert "condition number" in caplog.text
+
+    def test_condition_not_computed_when_debug_off(self, rng, monkeypatch, caplog):
+        def refuse(*args, **kwargs):
+            raise AssertionError("condition number computed with debug logging off")
+
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        caplog.set_level(logging.INFO, logger="nablafrac.oracle")
+        op = random_operator(rng, 0.0, 1.5, 8)
+        dense_solve(assemble_ivp(op, zero_forcing(op), InitialConditions.zeros(2)))
 
 
 class TestResidual:
