@@ -3,7 +3,9 @@ of constants, and fundamental solution sets.
 
 The recursion isolates the p(t)-weighted top term of the operator row at
 each t; since the Caputo kernel weight at the diagonal is exactly 1, the
-pivot is p(t) > 0 and the recursion never breaks down.
+pivot is p(t) > 0 and the recursion never breaks down.  :func:`solve_ivp`
+runs it on arrays over one kernel-weight vector in O(b^2);
+:func:`cauchy_function` still rebuilds each row from scalar monomials.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from math import comb
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 from .grid import Grid, GridFunction, constant_grid_function
-from .monomial import taylor_monomial
+from .monomial import kernel_weights, taylor_monomial
 from .operator import FracOperator, GhostClosure
 
 
@@ -88,6 +92,12 @@ def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridF
     Returns x on the extended grid [a-N+1, b].  The initial conditions
     and the ghost closure are satisfied exactly; the equation holds to
     accumulated rounding.
+
+    Row t reads p(t) cap(t) = h(t) + p(t-1) cap(t-1) - q(t) x(t-1), where
+    cap(t) = nabla^N x(t) + sum_{s<t} H_{N-nu-1}(t-s+1) nabla^N x(s).  The
+    history sum is one dot with the reversed kernel weights, cap(t-1) is
+    carried from the previous row, and the pivot is p(t).  O(b^2) time,
+    O(b) memory.
     """
     n = op.N
     b = op.b_offset
@@ -95,15 +105,26 @@ def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridF
         raise ValueError(f"need {n + 1} initial values, got {len(ic.values)}")
     _check_forcing(op, h)
     lo = -(n - 1)
-    xs = [0.0] * (b - lo + 1)
-    for i, g in enumerate(ic.closure.ghost_values(n - 1), start=1):
-        xs[-i - lo] = g
-    for k, v in enumerate(ic_to_values(ic)):
-        xs[k - lo] = v
-    for t in range(n + 1, b + 1):
-        xs[t - lo] = 0.0
-        xs[t - lo] = (h.at(t) - _row_value(op, xs, lo, 0, t)) / op.p.at(t)
-    return GridFunction(Grid(op.a, lo, b), tuple(xs))
+    x = np.zeros(b - lo + 1)
+    x[:n - 1] = ic.closure.ghost_values(n - 1)[::-1]
+    x[-lo:n + 1 - lo] = ic_to_values(ic)
+    # (-1)^i C(N,i) for i = N..1, against x(t-N), ..., x(t-1)
+    binom = np.array([(-1) ** i * comb(n, i) for i in range(n, 0, -1)], dtype=float)
+    wr = kernel_weights(b, n - op.nu - 1.0)[::-1]  # wr[b-k] = H(k)
+    # p, q and h indexed by offset, zero below their grids
+    p = [0.0] * n + list(op.p.values)
+    q = [0.0] * (n + 1) + list(op.q.values)
+    hv = [0.0] * (n + 1) + list(h.values[n + 1 - h.grid.lo:b + 1 - h.grid.lo])
+    d = np.zeros(b + 1)  # nabla^N x on [0, b]; d[0] is never read
+    cap = 0.0  # Caputo value at t-1
+    for t in range(1, b + 1):
+        hist = float(np.dot(wr[b - t:b - 1], d[1:t]))
+        rest = float(np.dot(binom, x[t - n - lo:t - lo]))
+        if t > n:
+            x[t - lo] = (hv[t] + p[t - 1] * cap - q[t] * x[t - 1 - lo]) / p[t] - hist - rest
+        d[t] = x[t - lo] + rest
+        cap = d[t] + hist
+    return GridFunction(Grid(op.a, lo, b), x)
 
 
 def _check_forcing(op: FracOperator, h: GridFunction) -> None:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nablafrac import (
     FracOperator,
@@ -21,7 +22,28 @@ from nablafrac import (
     variation_of_constants,
     zero_forcing,
 )
+from nablafrac.oracle import assemble_ivp
 from conftest import max_gap, random_forcing, random_operator
+
+
+def scaled_ivp_residual(op, h, ic, x):
+    """||Ax - r|| / (||A|| ||x|| + ||r||) in the inf-norm, on the dense IVP system."""
+    sys = assemble_ivp(op, h, ic)
+    xv = np.asarray(x.values)
+    num = np.max(np.abs(sys.matrix @ xv - sys.rhs))
+    den = (np.max(np.sum(np.abs(sys.matrix), axis=1)) * np.max(np.abs(xv))
+           + np.max(np.abs(sys.rhs)))
+    return num / den
+
+
+# orders next to an integer on either side, and anywhere in (0.05, 3.95)
+near_integer_nus = st.builds(
+    lambda k, sign, j: k + sign * 10.0 ** -j,
+    st.sampled_from([1, 2, 3]), st.sampled_from([-1, 1]), st.integers(1, 10),
+)
+orders = st.one_of(near_integer_nus, st.floats(0.05, 3.95)).filter(
+    lambda nu: not float(nu).is_integer()
+)
 
 
 class TestInitialConditions:
@@ -94,6 +116,62 @@ class TestSolveIvp:
         assert max(
             abs(xs.at(k) - x1.at(k) - x2.at(k)) for k in xs.grid.offsets()
         ) < 1e-10
+
+
+class TestSolveIvpAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(nu=orders, b=st.integers(5, 120), seed=st.integers(0, 2**32 - 1))
+    def test_variable_coefficients_explicit_ghosts(self, nu, b, seed):
+        rng = np.random.default_rng(seed)
+        op = random_operator(rng, 0.0, nu, b)
+        n = op.N
+        ic = InitialConditions(
+            tuple(rng.uniform(-1, 1, n + 1)),
+            GhostClosure.explicit(*rng.uniform(-1, 1, n - 1)),
+        )
+        h = random_forcing(rng, op)
+        assert scaled_ivp_residual(op, h, ic, solve_ivp(op, h, ic)) <= 1e-12
+
+    @pytest.mark.parametrize("variable", [False, True], ids=["basic", "variable"])
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5])
+    def test_long_horizon(self, rng, nu, variable):
+        b = 320
+        op = random_operator(rng, 0.0, nu, b) if variable else FracOperator.constant(0.0, nu, b)
+        h = random_forcing(rng, op)
+        ic = InitialConditions(tuple(rng.uniform(-1, 1, op.N + 1)))
+        assert scaled_ivp_residual(op, h, ic, solve_ivp(op, h, ic)) <= 1e-12
+
+
+class TestSolveIvpIndexing:
+    def test_forcing_on_a_wider_grid(self, rng):
+        # h's padding below N+1 and above b must never be read
+        for nu in (0.6, 1.5, 2.5):
+            op = random_operator(rng, 0.0, nu, 20)
+            n = op.N
+            h = random_forcing(rng, op)
+            wide = GridFunction(
+                Grid(0.0, -5, 27), (1e300, -7.0, 3e8, 1.0, 42.0) + (np.nan,) * (n + 1)
+                + h.values + (np.inf,) * 7,
+            )
+            ic = InitialConditions(tuple(rng.uniform(-1, 1, n + 1)))
+            assert solve_ivp(op, wide, ic).values == solve_ivp(op, h, ic).values
+
+    def test_wrong_initial_value_count(self, rng):
+        op = random_operator(rng, 0.0, 1.5, 10)
+        for count in (2, 4):
+            with pytest.raises(ValueError):
+                solve_ivp(op, random_forcing(rng, op), InitialConditions((0.0,) * count))
+
+    def test_no_scalar_monomial_per_term(self, rng, monkeypatch):
+        # the recursion reads one kernel-weight vector, never the scalar monomial
+        def refuse(m, nu):
+            raise AssertionError("taylor_monomial called by solve_ivp")
+
+        monkeypatch.setattr("nablafrac.ivp.taylor_monomial", refuse)
+        for nu in (0.6, 1.5, 2.5):
+            op = random_operator(rng, 0.0, nu, 30)
+            x = solve_ivp(op, random_forcing(rng, op), InitialConditions.zeros(op.N))
+            assert len(x.values) == 30 + op.N
 
 
 class TestCauchyFunction:
