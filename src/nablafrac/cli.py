@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -116,17 +117,20 @@ def _ghost_closure(spec: dict | None) -> GhostClosure:
 
 def build_initial_conditions(problem: dict, op: FracOperator) -> InitialConditions:
     a_vals = problem.get("A")
-    if not isinstance(a_vals, list) or len(a_vals) != op.N + 1:
+    if (not isinstance(a_vals, list) or len(a_vals) != op.N + 1
+            or not all(isinstance(v, (int, float)) for v in a_vals)):
         raise ConfigError("problem.A", f"expected {op.N + 1} numbers")
     try:
-        return InitialConditions(tuple(a_vals), _ghost_closure(problem.get("ghost")))
+        closure = _ghost_closure(problem.get("ghost"))
+        closure.ghost_values(op.N - 1)  # a wrong explicit ghost count is a config error
+        return InitialConditions(tuple(a_vals), closure)
     except ValueError as exc:
         raise ConfigError("problem.ghost", str(exc))
 
 
 def build_boundary_spec(problem: dict, op: FracOperator) -> BoundarySpec:
     try:
-        return BoundarySpec(
+        spec = BoundarySpec(
             alpha=tuple(tuple(row) for row in problem.get("alpha", ())),
             left_values=tuple(problem.get("A", ())),
             beta=tuple(problem.get("beta", ())),
@@ -134,6 +138,9 @@ def build_boundary_spec(problem: dict, op: FracOperator) -> BoundarySpec:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError("problem", str(exc))
+    if spec.N != op.N:
+        raise ConfigError("problem.alpha", f"expected {op.N} rows for N = {op.N}, got {spec.N}")
+    return spec
 
 
 def _problem(cfg: dict, expected: str) -> dict:
@@ -241,26 +248,33 @@ def cmd_greens(args) -> int:
 
 
 def _verify_checks(cfg: dict):
-    """Yield (name, measured, tolerance-scale) triples for the config."""
+    """Yield (name, measured, tolerance-scale) triples; the config is validated first."""
     op = build_operator(cfg)
     h = build_forcing(cfg, op)
-    probe_gap = float(np.max(np.abs(
-        probe_equation_rows(op)
-        - assemble_ivp(op, h, InitialConditions.zeros(op.N)).matrix[2 * op.N:]
-    )))
-    yield "probe-vs-symbolic-rows", probe_gap, 1e-10
-
     problem = _require(cfg, "problem", dict)
     kind = problem.get("type")
     if kind == "ivp":
         ic = build_initial_conditions(problem, op)
+        dense_sys = assemble_ivp(op, h, ic)
+    elif kind == "bvp":
+        spec = build_boundary_spec(problem, op)
+        dense_sys = assemble_bvp(op, h, spec, GhostClosure.zero())
+    elif kind == "greens":
+        if not op.is_basic() or op.N != 2:
+            raise ConfigError("problem", "greens verification needs p == 1, q == 0, nu in (1,2)")
+        dense_sys = assemble_ivp(op, h, InitialConditions.zeros(op.N))
+    else:
+        raise ConfigError("problem.type", f"unknown type {kind!r}")
+    probe_gap = float(np.max(np.abs(probe_equation_rows(op) - dense_sys.matrix[2 * op.N:])))
+    yield "probe-vs-symbolic-rows", probe_gap, 1e-10
+
+    if kind == "ivp":
         x = solve_ivp(op, h, ic)
         yield "ivp-equation-residual", residual(op, x, h), None
-        dense = dense_solve(assemble_ivp(op, h, ic))
+        dense = dense_solve(dense_sys)
         gap = max(abs(x.at(k) - dense.at(k)) for k in x.grid.offsets())
         yield "ivp-oracle-agreement", gap, None
     elif kind == "bvp":
-        spec = build_boundary_spec(problem, op)
         x = solve_bvp(op, h, spec)
         yield "bvp-equation-residual", residual(op, x, h), None
         bc_gap = max(
@@ -269,12 +283,10 @@ def _verify_checks(cfg: dict):
             abs(right_bc_eval(x, spec.beta, op.b) - spec.right_value),
         )
         yield "bvp-boundary-residual", bc_gap, None
-        dense = dense_solve(assemble_bvp(op, h, spec, GhostClosure.zero()))
+        dense = dense_solve(dense_sys)
         gap = max(abs(x.at(k) - dense.at(k)) for k in x.grid.offsets())
         yield "bvp-oracle-agreement", gap, None
-    elif kind == "greens":
-        if not op.is_basic() or op.N != 2:
-            raise ConfigError("problem", "greens verification needs p == 1, q == 0, nu in (1,2)")
+    else:
         spec = BoundarySpec.conjugate()
         basis = homogeneous_basis(op, analytic=True)
         built = build_greens(op, spec, basis)
@@ -291,8 +303,6 @@ def _verify_checks(cfg: dict):
         xb = solve_bvp(op, h, spec, basis)
         gap = max(abs(x.at(k) - xb.at(k)) for k in x.grid.offsets())
         yield "greens-vs-bvp-agreement", gap, None
-    else:
-        raise ConfigError("problem.type", f"unknown type {kind!r}")
 
 
 def cmd_verify(args) -> int:
@@ -327,6 +337,7 @@ def _add_out(p):
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
 
+@functools.lru_cache(maxsize=None)  # built once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nablafrac",

@@ -69,6 +69,11 @@ def _base_offset(f: GridFunction, base: float) -> int:
     return k
 
 
+def frac_sum(f: np.ndarray, nu: float) -> np.ndarray:
+    """Order-``nu`` sum of f = f(base+1..base+m), at base+1..base+m (see frac_integral)."""
+    return np.convolve(kernel_weights(len(f), nu - 1.0)[1:], f)[:len(f)]
+
+
 def frac_integral(f: GridFunction, base: float, nu: float) -> GridFunction:
     """Fractional integral of order ``nu > 0`` based at ``base``.
 
@@ -82,8 +87,7 @@ def frac_integral(f: GridFunction, base: float, nu: float) -> GridFunction:
     hi = f.grid.hi
     vals = np.zeros(hi - b + 1)
     if hi > b:  # np.convolve rejects the empty sum at a base on f's last point
-        w = kernel_weights(hi - b, nu - 1.0)
-        vals[1:] = np.convolve(w[1:], f.values[b + 1 - f.grid.lo:])[:hi - b]
+        vals[1:] = frac_sum(np.asarray(f.values[b + 1 - f.grid.lo:]), nu)
     return GridFunction(Grid(f.grid.base, b, hi), vals)
 
 

@@ -34,11 +34,10 @@ def gauss_solve(matrix, rhs, singular_tol: float = 1e-13) -> np.ndarray:
             b[[k, p]] = b[[p, k]]
         pivots[k] = a[k, k]
         if a[k, k] != 0.0:
-            for i in range(k + 1, n):
-                lam = a[i, k] / a[k, k]
-                if lam != 0.0:
-                    a[i, k:] -= lam * a[k, k:]
-                    b[i] -= lam * b[k]
+            lam = a[k + 1:, k] / a[k, k]
+            rows = np.flatnonzero(lam)  # a zero multiplier leaves its row untouched
+            a[k + 1 + rows, k:] -= lam[rows, None] * a[k, k:]
+            b[k + 1 + rows] -= lam[rows] * b[k]
     if np.min(np.abs(pivots)) < singular_tol * max(norm, 1.0):
         raise SingularSystemError(
             f"pivot {np.min(np.abs(pivots)):.3e} below tolerance for matrix norm {norm:.3e}"

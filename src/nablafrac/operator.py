@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fraccalc import caputo_difference
+from .fraccalc import frac_sum
 from .grid import Grid, GridFunction, constant_grid_function
 
 
@@ -128,6 +128,16 @@ def extend_with_closure(op: FracOperator, x: GridFunction,
     )
 
 
+def apply_array(op: FracOperator, x: np.ndarray) -> np.ndarray:
+    """(L x)(t) for t in [a+N+1, b] from the values of x on [a-N+1, hi], hi >= b."""
+    n = op.N
+    b = op.b_offset
+    cap = frac_sum(np.diff(x, n), n - op.nu)  # on [1, hi]
+    flux = np.multiply(op.p.values, cap[n - 1:b])  # on [n, b]
+    shifted = np.multiply(op.q.values, x[2 * n - 1:b + n - 1])  # x(t-1), t in [n+1, b]
+    return np.diff(flux) + shifted
+
+
 def apply(op: FracOperator, x: GridFunction) -> GridFunction:
     """Evaluate (L x)(t) for t in [a+N+1, b].
 
@@ -141,10 +151,8 @@ def apply(op: FracOperator, x: GridFunction) -> GridFunction:
         raise ValueError(
             f"x must cover offsets [{-(n - 1)}, {b}], got [{x.grid.lo}, {x.grid.hi}]"
         )
-    cap = caputo_difference(x, op.a, op.nu).values  # on [0, x.grid.hi]
-    flux = np.multiply(op.p.values, cap[n:b + 1])  # on [n, b]
-    shifted = np.multiply(op.q.values, x.values[n - x.grid.lo:b - x.grid.lo])
-    return GridFunction(Grid(op.a, n + 1, b), np.diff(flux) + shifted)
+    return GridFunction(Grid(op.a, n + 1, b),
+                        apply_array(op, np.asarray(x.values[-(n - 1) - x.grid.lo:])))
 
 
 def leading_coefficient(op: FracOperator, t: float) -> float:

@@ -23,7 +23,7 @@ from .grid import Grid, GridFunction
 from .ivp import InitialConditions
 from .linalg import gauss_solve
 from .monomial import taylor_monomial
-from .operator import FracOperator, GhostClosure, apply
+from .operator import FracOperator, GhostClosure, apply, apply_array
 
 log = logging.getLogger(__name__)
 
@@ -47,17 +47,24 @@ class DenseSystem:
         return offset - self.lo
 
 
-def _equation_row(op: FracOperator, t: int, lo: int, m: int) -> np.ndarray:
-    """Coefficients of (L x)(t) on x(lo), ..., x(b)."""
+def _equation_row(op: FracOperator, t: int, lo: int, m: int, kernel: list[float]) -> np.ndarray:
+    """Coefficients of (L x)(t) on x(lo), ..., x(b); kernel[k] = H_{N-nu-1}(k)."""
     n = op.N
     row = np.zeros(m)
     for tau, w in ((t, op.p.at(t)), (t - 1, -op.p.at(t - 1))):
         for s in range(1, tau + 1):
-            kern = w * taylor_monomial(tau - s + 1, n - op.nu - 1.0)
+            kern = w * kernel[tau - s + 1]
             for i in range(n + 1):
                 row[s - i - lo] += kern * (-1) ** i * comb(n, i)
     row[t - 1 - lo] += op.q.at(t)
     return row
+
+
+def _equation_rows(op: FracOperator, h: GridFunction, lo: int, m: int):
+    """Rows and right-hand sides of (L x)(t) = h(t), t in [N+1, b]; one monomial per offset."""
+    kernel = [taylor_monomial(k, op.N - op.nu - 1.0) for k in range(op.b_offset + 1)]
+    ts = range(op.N + 1, op.b_offset + 1)
+    return [_equation_row(op, t, lo, m, kernel) for t in ts], [h.at(t) for t in ts]
 
 
 def _closure_rows(closure: GhostClosure, n: int, lo: int, m: int):
@@ -101,10 +108,8 @@ def assemble_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> De
             row[i - j - lo] += (-1) ** j * comb(i, j)
         rows.append(row)
         rhs.append(a_i)
-    for t in range(n + 1, b + 1):
-        rows.append(_equation_row(op, t, lo, m))
-        rhs.append(h.at(t))
-    return DenseSystem(op.a, op.nu, n, b, np.array(rows), np.array(rhs))
+    eq_rows, eq_rhs = _equation_rows(op, h, lo, m)
+    return DenseSystem(op.a, op.nu, n, b, np.array(rows + eq_rows), np.array(rhs + eq_rhs))
 
 
 def assemble_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
@@ -123,10 +128,8 @@ def assemble_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
         rhs.append(spec.left_values[i])
     rows.append(_right_row(spec.beta, b, lo, m))
     rhs.append(spec.right_value)
-    for t in range(n + 1, b + 1):
-        rows.append(_equation_row(op, t, lo, m))
-        rhs.append(h.at(t))
-    return DenseSystem(op.a, op.nu, n, b, np.array(rows), np.array(rhs))
+    eq_rows, eq_rhs = _equation_rows(op, h, lo, m)
+    return DenseSystem(op.a, op.nu, n, b, np.array(rows + eq_rows), np.array(rhs + eq_rhs))
 
 
 def dense_solve(sys: DenseSystem) -> GridFunction:
@@ -153,6 +156,4 @@ def probe_equation_rows(op: FracOperator) -> np.ndarray:
     A third, independent implementation used to cross-check the symbolic
     expansion in :func:`assemble_ivp` / :func:`assemble_bvp`.
     """
-    grid = Grid(op.a, -(op.N - 1), op.b_offset)
-    return np.array([apply(op, GridFunction(grid, e)).values
-                     for e in np.eye(len(grid))]).T
+    return np.array([apply_array(op, e) for e in np.eye(op.b_offset + op.N)]).T

@@ -180,6 +180,45 @@ class TestVerify:
         assert main(["verify", "--config",
                      write_config(tmp_path, ivp_config(b_offset=1))]) == 1
 
+    @pytest.mark.parametrize("problem", [
+        {"type": "ivp", "A": [0.0, 0.0]},
+        {"type": "ivp", "A": [0.0, [1.0], 0.0]},
+        {"type": "ivp", "A": "0 0 0"},
+        {"type": "ivp", "A": [0.0, 0.0, 0.0],
+         "ghost": {"mode": "explicit", "values": [1.0, 2.0]}},
+        {"type": "bvp", "alpha": [[1.0, 0.0]], "A": [0.0], "beta": [1.0, 0.0], "B": 0.0},
+        {"type": "greens-ish"},
+    ])
+    def test_malformed_problem_exits_one_before_any_check(self, tmp_path, capsys, problem):
+        cfg = ivp_config(problem=problem)
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 1
+        out = capsys.readouterr()
+        assert "check" not in out.out
+        assert "problem" in out.err
+
+    def test_greens_needs_basic_operator_before_any_check(self, tmp_path, capsys):
+        cfg = ivp_config(q=0.5, problem={"type": "greens"})
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 1
+        assert "check" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("problem, names", [
+        ({"type": "ivp", "A": [0.1, -0.2, 0.3]},
+         ["probe-vs-symbolic-rows", "ivp-equation-residual", "ivp-oracle-agreement"]),
+        ({"type": "bvp", "alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "A": [0.2, -0.1],
+          "beta": [1.0, 0.0, 0.0], "B": 0.5},
+         ["probe-vs-symbolic-rows", "bvp-equation-residual", "bvp-boundary-residual",
+          "bvp-oracle-agreement"]),
+        ({"type": "greens"},
+         ["probe-vs-symbolic-rows", "greens-closed-form-agreement",
+          "greens-equation-residual", "greens-boundary-residual", "greens-vs-bvp-agreement"]),
+    ])
+    def test_check_names_and_order(self, tmp_path, capsys, problem, names):
+        cfg = ivp_config(problem=problem)
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("check ")]
+        assert [ln.split(": ")[0] for ln in lines] == [f"check {k}" for k in range(len(names))]
+        assert [ln.split(": ")[1] for ln in lines] == names
+
     def test_env_tolerance_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("NABLA_GREEN_TOL", "1e-2")
         assert main(["verify", "--config",

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from nablafrac import (
@@ -6,6 +7,7 @@ from nablafrac import (
     Grid,
     GridFunction,
     apply,
+    caputo_difference,
     constant_grid_function,
     extend_with_closure,
     leading_coefficient,
@@ -105,6 +107,20 @@ class TestApply:
                 x = monomial_function(0.0, -1, 20, order)
                 r = apply(op, x)
                 assert max(abs(v) for v in r.values) < 1e-10
+
+
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
+    def test_bit_identical_to_grid_function_composition(self, rng, nu):
+        # reference: the Caputo difference as a GridFunction, then p*, nabla, + q x(t-1);
+        # x is wider than [a-N+1, b] on both sides
+        op = random_operator(rng, 0.0, nu, 37)
+        n, b = op.N, op.b_offset
+        x = GridFunction(Grid(0.0, -n - 2, b + 3), tuple(rng.uniform(-1, 1, b + n + 6)))
+        cap = caputo_difference(x, op.a, op.nu).values
+        flux = np.multiply(op.p.values, cap[n:b + 1])
+        shifted = np.multiply(op.q.values, x.values[n - x.grid.lo:b - x.grid.lo])
+        want = np.diff(flux) + shifted
+        assert np.array(apply(op, x).values).tobytes() == want.tobytes()
 
 
 class TestGhostClosure:

@@ -1,4 +1,5 @@
 import logging
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ from nablafrac import (
     BoundarySpec,
     FracOperator,
     GhostClosure,
+    Grid,
+    GridFunction,
     InitialConditions,
     SingularSystemError,
+    apply,
     assemble_bvp,
     assemble_ivp,
     build_greens,
@@ -19,8 +23,10 @@ from nablafrac import (
     residual,
     solve_bvp,
     solve_ivp,
+    taylor_monomial,
     zero_forcing,
 )
+from nablafrac import oracle
 from conftest import max_gap, random_forcing, random_operator
 
 
@@ -146,7 +152,6 @@ class TestResidual:
         op = random_operator(rng, 0.0, 1.5, 10)
         h = random_forcing(rng, op)
         x = solve_ivp(op, h, InitialConditions.zeros(2))
-        from nablafrac import GridFunction
         bumped = GridFunction(
             x.grid, tuple(v + (1.0 if k == 7 else 0.0)
                           for k, v in zip(x.grid.offsets(), x.values))
@@ -161,3 +166,55 @@ class TestProbeRows:
             sys = assemble_ivp(op, zero_forcing(op), InitialConditions.zeros(op.N))
             gap = np.max(np.abs(probe_equation_rows(op) - sys.matrix[2 * op.N:]))
             assert gap < 1e-10
+
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
+    @pytest.mark.parametrize("b", [5, 17, 40])
+    def test_bit_identical_to_unit_vector_apply_loop(self, nu, b):
+        op = random_operator(np.random.default_rng(b), 0.0, nu, b)
+        grid = Grid(op.a, -(op.N - 1), op.b_offset)
+        want = np.array([apply(op, GridFunction(grid, e)).values
+                         for e in np.eye(len(grid))]).T
+        assert probe_equation_rows(op).tobytes() == want.tobytes()
+
+
+def _per_term_equation_row(op, t, lo, m):
+    """Equation row with one scalar monomial per (row, term) pair: the
+    reference for the assembly's shared kernel list."""
+    n = op.N
+    row = np.zeros(m)
+    for tau, w in ((t, op.p.at(t)), (t - 1, -op.p.at(t - 1))):
+        for s in range(1, tau + 1):
+            kern = w * taylor_monomial(tau - s + 1, n - op.nu - 1.0)
+            for i in range(n + 1):
+                row[s - i - lo] += kern * (-1) ** i * comb(n, i)
+    row[t - 1 - lo] += op.q.at(t)
+    return row
+
+
+class TestEquationRowKernel:
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
+    def test_rows_bit_identical_to_per_term_evaluation(self, rng, nu):
+        op = random_operator(rng, 0.0, nu, 23)
+        h = random_forcing(rng, op)
+        lo, m = -(op.N - 1), op.b_offset + op.N
+        want = np.array([_per_term_equation_row(op, t, lo, m)
+                         for t in range(op.N + 1, op.b_offset + 1)])
+        ivp = assemble_ivp(op, h, InitialConditions.zeros(op.N))
+        bvp = assemble_bvp(op, h, BoundarySpec(
+            alpha=tuple(tuple(float(i == j) for j in range(op.N + 1)) for i in range(op.N)),
+            left_values=(0.0,) * op.N, beta=(1.0,) + (0.0,) * op.N, right_value=0.0,
+        ), GhostClosure.zero())
+        assert ivp.matrix[2 * op.N:].tobytes() == want.tobytes()
+        assert bvp.matrix[2 * op.N:].tobytes() == want.tobytes()
+
+    def test_one_monomial_evaluation_per_offset(self, rng, monkeypatch):
+        calls = []
+
+        def counting(m, nu):
+            calls.append(m)
+            return taylor_monomial(m, nu)
+
+        monkeypatch.setattr(oracle, "taylor_monomial", counting)
+        op = random_operator(rng, 0.0, 1.5, 30)
+        assemble_ivp(op, zero_forcing(op), InitialConditions.zeros(op.N))
+        assert sorted(calls) == list(range(31))
