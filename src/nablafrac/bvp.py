@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NearSingularError, OffGridError
+from .errors import NearSingularError
 from .grid import Grid, GridFunction
 from .ivp import InitialConditions, homogeneous_basis, solve_ivp
 from .linalg import gauss_solve
@@ -143,18 +143,9 @@ def solve_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
         rhs[i] = spec.left_values[i] - left_bc_eval(xp, spec.alpha[i], op.a)
     rhs[n] = spec.right_value - right_bc_eval(xp, spec.beta, op.b)
     coeffs = gauss_solve(d.entries, rhs)
-    vals = np.add(xp.values, coeffs @ basis_values(basis, xp.grid))
-    return GridFunction(xp.grid, vals)
+    return GridFunction(xp.grid, xp.values + coeffs @ basis_values(basis, xp.grid))
 
 
 def basis_values(basis: Sequence[GridFunction], grid: Grid) -> np.ndarray:
     """The basis tabulated on ``grid``: one row per basis function."""
-    rows = []
-    for x in basis:
-        if x.grid.lo > grid.lo or x.grid.hi < grid.hi:
-            raise OffGridError(
-                f"basis function on [{x.grid.lo}, {x.grid.hi}] does not cover "
-                f"[{grid.lo}, {grid.hi}]"
-            )
-        rows.append(x.values[grid.lo - x.grid.lo:grid.hi + 1 - x.grid.lo])
-    return np.array(rows)
+    return np.array([x.values_on(grid.base, grid.lo, grid.hi) for x in basis])

@@ -55,7 +55,7 @@ def _coefficient(cfg: dict, field: str, a: float, lo: int, hi: int) -> GridFunct
     """Constant or tabulated coefficient covering offsets [lo, hi] exactly."""
     spec = _require(cfg, field, (int, float, dict))
     if isinstance(spec, (int, float)):
-        return GridFunction(Grid(a, lo, hi), (float(spec),) * (hi - lo + 1))
+        return GridFunction(Grid(a, lo, hi), np.full(hi - lo + 1, float(spec)))
     values = spec.get("values")
     start = spec.get("start", lo)
     if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
@@ -65,7 +65,7 @@ def _coefficient(cfg: dict, field: str, a: float, lo: int, hi: int) -> GridFunct
             field,
             f"must cover offsets [{lo}, {hi}] exactly (start={start}, {len(values)} values)",
         )
-    return GridFunction(Grid(a, lo, hi), tuple(float(v) for v in values))
+    return GridFunction(Grid(a, lo, hi), values)
 
 
 def load_config(path: str) -> dict:
@@ -91,7 +91,7 @@ def build_operator(cfg: dict) -> FracOperator:
     if b_off < n + 1:
         raise ConfigError("b_offset", f"must be at least N+1 = {n + 1}")
     p = _coefficient(cfg, "p", a, n, b_off)
-    if any(v <= 0 for v in p.values):
+    if np.any(p.values <= 0):
         raise ConfigError("p", "must be strictly positive")
     q = _coefficient(cfg, "q", a, n + 1, b_off)
     return FracOperator(a, nu, p, q)
@@ -123,7 +123,7 @@ def build_initial_conditions(problem: dict, op: FracOperator) -> InitialConditio
     try:
         closure = _ghost_closure(problem.get("ghost"))
         closure.ghost_values(op.N - 1)  # a wrong explicit ghost count is a config error
-        return InitialConditions(tuple(a_vals), closure)
+        return InitialConditions(a_vals, closure)
     except ValueError as exc:
         raise ConfigError("problem.ghost", str(exc))
 
@@ -247,6 +247,15 @@ def cmd_greens(args) -> int:
     return 0
 
 
+def _boundary_gap(x: GridFunction, spec: BoundarySpec, op: FracOperator) -> float:
+    left = max(abs(left_bc_eval(x, row, op.a) - v) for row, v in zip(spec.alpha, spec.left_values))
+    return max(left, abs(right_bc_eval(x, spec.beta, op.b) - spec.right_value))
+
+
+def _max_gap(x: GridFunction, y: GridFunction) -> float:
+    return float(np.max(np.abs(x.values - y.values)))
+
+
 def _verify_checks(cfg: dict):
     """Yield (name, measured, tolerance-scale) triples; the config is validated first."""
     op = build_operator(cfg)
@@ -271,21 +280,12 @@ def _verify_checks(cfg: dict):
     if kind == "ivp":
         x = solve_ivp(op, h, ic)
         yield "ivp-equation-residual", residual(op, x, h), None
-        dense = dense_solve(dense_sys)
-        gap = max(abs(x.at(k) - dense.at(k)) for k in x.grid.offsets())
-        yield "ivp-oracle-agreement", gap, None
+        yield "ivp-oracle-agreement", _max_gap(x, dense_solve(dense_sys)), None
     elif kind == "bvp":
         x = solve_bvp(op, h, spec)
         yield "bvp-equation-residual", residual(op, x, h), None
-        bc_gap = max(
-            max(abs(left_bc_eval(x, spec.alpha[i], op.a) - spec.left_values[i])
-                for i in range(spec.N)),
-            abs(right_bc_eval(x, spec.beta, op.b) - spec.right_value),
-        )
-        yield "bvp-boundary-residual", bc_gap, None
-        dense = dense_solve(dense_sys)
-        gap = max(abs(x.at(k) - dense.at(k)) for k in x.grid.offsets())
-        yield "bvp-oracle-agreement", gap, None
+        yield "bvp-boundary-residual", _boundary_gap(x, spec, op), None
+        yield "bvp-oracle-agreement", _max_gap(x, dense_solve(dense_sys)), None
     else:
         spec = BoundarySpec.conjugate()
         basis = homogeneous_basis(op, analytic=True)
@@ -294,15 +294,8 @@ def _verify_checks(cfg: dict):
         yield "greens-closed-form-agreement", compare_greens(built, closed), 1e-10
         x = greens_solve(built, h)
         yield "greens-equation-residual", residual(op, x, h), None
-        bc_gap = max(
-            abs(left_bc_eval(x, spec.alpha[0], op.a)),
-            abs(left_bc_eval(x, spec.alpha[1], op.a)),
-            abs(right_bc_eval(x, spec.beta, op.b)),
-        )
-        yield "greens-boundary-residual", bc_gap, None
-        xb = solve_bvp(op, h, spec, basis)
-        gap = max(abs(x.at(k) - xb.at(k)) for k in x.grid.offsets())
-        yield "greens-vs-bvp-agreement", gap, None
+        yield "greens-boundary-residual", _boundary_gap(x, spec, op), None
+        yield "greens-vs-bvp-agreement", _max_gap(x, solve_bvp(op, h, spec, basis)), None
 
 
 def cmd_verify(args) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import _POINT_TOL, Grid, GridFunction
 from .monomial import kernel_weights
 
 
@@ -62,7 +62,7 @@ def nabla_n(f: GridFunction, n: int) -> GridFunction:
 def _base_offset(f: GridFunction, base: float) -> int:
     """Offset of the base point, which may sit one step below f's grid."""
     k = round(base - f.grid.base)
-    if abs((base - f.grid.base) - k) > 1e-9:
+    if abs((base - f.grid.base) - k) > _POINT_TOL:
         raise ValueError(f"base {base} is not a unit-step point of f's grid")
     if not f.grid.lo - 1 <= k <= f.grid.hi:
         raise ValueError(f"base offset {k} outside [{f.grid.lo - 1}, {f.grid.hi}]")
@@ -87,7 +87,7 @@ def frac_integral(f: GridFunction, base: float, nu: float) -> GridFunction:
     hi = f.grid.hi
     vals = np.zeros(hi - b + 1)
     if hi > b:  # np.convolve rejects the empty sum at a base on f's last point
-        vals[1:] = frac_sum(np.asarray(f.values[b + 1 - f.grid.lo:]), nu)
+        vals[1:] = frac_sum(f.values_on(f.grid.base, b + 1, hi), nu)
     return GridFunction(Grid(f.grid.base, b, hi), vals)
 
 
@@ -105,10 +105,8 @@ def rl_difference(f: GridFunction, base: float, nu: float, extend: bool = False)
     n = math.ceil(nu)
     g = frac_integral(f, base, n - nu)
     if extend:
-        g = GridFunction(
-            Grid(g.grid.base, g.grid.lo - n, g.grid.hi),
-            (0.0,) * n + g.values,
-        )
+        g = GridFunction(Grid(g.grid.base, g.grid.lo - n, g.grid.hi),
+                         np.concatenate((np.zeros(n), g.values)))
     return nabla_n(g, n)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bvp import BoundarySpec, assemble_d, basis_values, right_bc_eval
 from .errors import DegenerateDenominatorError, NearSingularError
-from .grid import Grid, GridFunction
+from .grid import _POINT_TOL, Grid, GridFunction
 from .ivp import cauchy_function
 from .linalg import gauss_solve
 from .monomial import kernel_weights
@@ -59,10 +59,8 @@ class GreensFunction:
 
     def column(self, s_offset: int) -> GridFunction:
         """G(., s) on the extended grid, for residual checks."""
-        return GridFunction(
-            Grid(self.a, self.t_lo, self.b_offset),
-            tuple(self.G[:, s_offset - self.s_lo]),
-        )
+        return GridFunction(Grid(self.a, self.t_lo, self.b_offset),
+                            self.G[:, s_offset - self.s_lo])
 
 
 def _grid_offsets(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,16 +100,10 @@ def build_greens(op: FracOperator, spec: BoundarySpec,
             f"boundary matrix is singular at tolerance (det = {d.det:.3e})"
         )
     cf = cauchy_function(op)
-    grid = Grid(op.a, -(n - 1), b)
-    cauchy = np.zeros((len(grid), b - n))  # zero below each column's grid
-    r = np.empty(b - n)
-    for si, s in enumerate(cf.s_offsets()):
-        col = cf.column(s)
-        cauchy[col.grid.lo - grid.lo:, si] = col.values
-        r[si] = right_bc_eval(col, spec.beta, op.b)
+    r = np.array([right_bc_eval(cf.column(s), spec.beta, op.b) for s in cf.s_offsets()])
     c = gauss_solve(d.entries, np.eye(n + 1)[n])
-    u = -np.outer(c @ basis_values(basis, grid), r)
-    return _assemble(op.a, op.nu, n, b, u, u + cauchy, _branch_table(n, b))
+    u = -np.outer(c @ basis_values(basis, Grid(op.a, -(n - 1), b)), r)
+    return _assemble(op.a, op.nu, n, b, u, u + cf.values, _branch_table(n, b))
 
 
 def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunction:
@@ -124,7 +116,7 @@ def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunctio
     if float(nu).is_integer() or not 1.0 < nu < 2.0:
         raise ValueError(f"conjugate closed form needs nu in (1, 2), got {nu}")
     b_off = round(b - a)
-    if abs((b - a) - b_off) > 1e-9:
+    if abs((b - a) - b_off) > _POINT_TOL:
         raise ValueError(f"b - a = {b - a} is not an integer")
     if b_off < 3:
         raise ValueError(f"b - a must be at least 3, got {b_off}")
@@ -146,12 +138,8 @@ def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunctio
 
 def greens_solve(g: GreensFunction, h: GridFunction) -> GridFunction:
     """x(t) = sum_{s=a+N+1}^{b} G(t,s) h(s), the zero-data BVP solution."""
-    n = g.N
-    b = g.b_offset
-    if abs(h.grid.base - g.a) > 1e-9 or h.grid.lo > n + 1 or h.grid.hi < b:
-        raise ValueError(f"h must cover offsets [{n + 1}, {b}] based at a")
-    vals = g.G @ [h.at(s) for s in range(n + 1, b + 1)]
-    return GridFunction(Grid(g.a, g.t_lo, b), tuple(vals))
+    return GridFunction(Grid(g.a, g.t_lo, g.b_offset),
+                        g.G @ h.values_on(g.a, g.s_lo, g.b_offset))
 
 
 def compare_greens(g1: GreensFunction, g2: GreensFunction) -> float:

@@ -3,13 +3,17 @@
 A grid is anchored at a real base point ``a`` and consists of the points
 ``a + k`` for integer offsets ``k`` in ``[lo, hi]``.  All position
 arithmetic is done on the integer offsets, so membership tests never
-suffer floating-point drift.  Function values are ordinary floats.
+suffer floating-point drift.  Function values are one read-only float64
+array; :meth:`GridFunction.values_on` is the one place that turns a base
+and an offset range into a slice of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable
+
+import numpy as np
 
 from .errors import OffGridError
 
@@ -35,9 +39,6 @@ class Grid:
     def offsets(self) -> range:
         return range(self.lo, self.hi + 1)
 
-    def points(self) -> list[float]:
-        return [self.base + k for k in self.offsets()]
-
     def offset_of(self, t: float) -> int:
         """Integer offset of the point ``t``; raises if ``t`` is off-grid."""
         k = round(t - self.base)
@@ -51,49 +52,57 @@ class Grid:
         return self.lo <= k <= self.hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """A real-valued function tabulated on a :class:`Grid`.
 
-    Immutable after construction; evaluation outside the grid raises
-    :class:`OffGridError` rather than silently returning zero.
+    ``values`` is a read-only float64 copy of the input.  Evaluation
+    outside the grid raises :class:`OffGridError` rather than silently
+    returning zero.
     """
 
     grid: Grid
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != len(self.grid):
+        values = np.array(self.values, dtype=float)
+        if values.shape != (len(self.grid),):
             raise ValueError(
-                f"{len(self.values)} values for a grid of {len(self.grid)} points"
+                f"{values.size} values for a grid of {len(self.grid)} points"
             )
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    @classmethod
-    def from_offsets(cls, base: float, lo: int, values: Sequence[float]) -> "GridFunction":
-        return cls(Grid(base, lo, lo + len(values) - 1), tuple(values))
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def at(self, k: int) -> float:
         """Value at integer offset ``k`` from the base."""
         if not self.grid.contains_offset(k):
             raise OffGridError(f"offset {k} outside [{self.grid.lo}, {self.grid.hi}]")
-        return self.values[k - self.grid.lo]
+        return float(self.values[k - self.grid.lo])
 
     def __call__(self, t: float) -> float:
-        return self.values[self.grid.offset_of(t) - self.grid.lo]
+        return self.at(self.grid.offset_of(t))
 
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        for k, v in zip(self.grid.offsets(), self.values):
-            yield self.grid.base + k, v
+    def values_on(self, base: float, lo: int, hi: int) -> np.ndarray:
+        """The read-only values at offsets ``[lo, hi]`` of a grid based at ``base``.
+
+        Raises :class:`OffGridError` unless this function is tabulated on
+        a grid based at ``base`` (within ``_POINT_TOL``) that covers them.
+        """
+        g = self.grid
+        if abs(g.base - base) > _POINT_TOL:
+            raise OffGridError(f"function is tabulated on a grid based at {g.base}, not {base}")
+        if lo < g.lo or hi > g.hi:
+            raise OffGridError(f"offsets [{lo}, {hi}] not covered by [{g.lo}, {g.hi}]")
+        return self.values[lo - g.lo:hi + 1 - g.lo]
 
 
 def make_grid_function(grid: Grid, f: Callable[[float], float]) -> GridFunction:
     """Tabulate ``f`` at every point of ``grid``."""
-    return GridFunction(grid, tuple(f(grid.base + k) for k in grid.offsets()))
+    return GridFunction(grid, [f(grid.base + k) for k in grid.offsets()])
 
 
 def constant_grid_function(grid: Grid, c: float) -> GridFunction:
-    return GridFunction(grid, (float(c),) * len(grid))
+    return GridFunction(grid, np.full(len(grid), float(c)))
 
 
 def nabla_integral(f: GridFunction, c: float, d: float) -> float:

@@ -5,18 +5,19 @@ The recursion isolates the p(t)-weighted top term of the operator row at
 each t; since the Caputo kernel weight at the diagonal is exactly 1, the
 pivot is p(t) > 0 and the recursion never breaks down.  :func:`solve_ivp`
 runs it on arrays over one kernel-weight vector in O(b^2);
-:func:`cauchy_function` still rebuilds each row from scalar monomials.
+:func:`cauchy_function` still rebuilds each row from scalar monomials and
+stores x(t, s) as one (t, s) array, so :func:`variation_of_constants` is
+one matrix-vector product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
+from .errors import OffGridError
 from .grid import Grid, GridFunction, constant_grid_function
 from .monomial import kernel_weights, taylor_monomial
 from .operator import FracOperator, GhostClosure
@@ -31,8 +32,6 @@ class InitialConditions:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.closure.mode == "natural":
-            raise ValueError("natural closure is reserved for analytic basis functions")
 
     @classmethod
     def zeros(cls, n: int) -> "InitialConditions":
@@ -43,7 +42,7 @@ class InitialConditions:
     def unit(cls, n: int, i: int) -> "InitialConditions":
         vals = [0.0] * (n + 1)
         vals[i] = 1.0
-        return cls(tuple(vals))
+        return cls(vals)
 
 
 def ic_to_values(ic: InitialConditions) -> tuple[float, ...]:
@@ -103,7 +102,10 @@ def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridF
     b = op.b_offset
     if len(ic.values) != n + 1:
         raise ValueError(f"need {n + 1} initial values, got {len(ic.values)}")
-    _check_forcing(op, h)
+    # h, p and q indexed by offset, zero below their grids
+    hv = [0.0] * (n + 1) + h.values_on(op.a, n + 1, b).tolist()
+    p = [0.0] * n + op.p.values.tolist()
+    q = [0.0] * (n + 1) + op.q.values.tolist()
     lo = -(n - 1)
     x = np.zeros(b - lo + 1)
     x[:n - 1] = ic.closure.ghost_values(n - 1)[::-1]
@@ -111,10 +113,6 @@ def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridF
     # (-1)^i C(N,i) for i = N..1, against x(t-N), ..., x(t-1)
     binom = np.array([(-1) ** i * comb(n, i) for i in range(n, 0, -1)], dtype=float)
     wr = kernel_weights(b, n - op.nu - 1.0)[::-1]  # wr[b-k] = H(k)
-    # p, q and h indexed by offset, zero below their grids
-    p = [0.0] * n + list(op.p.values)
-    q = [0.0] * (n + 1) + list(op.q.values)
-    hv = [0.0] * (n + 1) + list(h.values[n + 1 - h.grid.lo:b + 1 - h.grid.lo])
     d = np.zeros(b + 1)  # nabla^N x on [0, b]; d[0] is never read
     cap = 0.0  # Caputo value at t-1
     for t in range(1, b + 1):
@@ -127,40 +125,32 @@ def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridF
     return GridFunction(Grid(op.a, lo, b), x)
 
 
-def _check_forcing(op: FracOperator, h: GridFunction) -> None:
-    n = op.N
-    if abs(h.grid.base - op.a) > 1e-9 or h.grid.lo > n + 1 or h.grid.hi < op.b_offset:
-        raise ValueError(
-            f"h must cover offsets [{n + 1}, {op.b_offset}] based at a"
-        )
-
-
 def zero_forcing(op: FracOperator) -> GridFunction:
     return constant_grid_function(Grid(op.a, op.N + 1, op.b_offset), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class CauchyFunction:
-    """The two-parameter kernel x(t, s), one column per s in [a+N+1, b].
+    """The two-parameter kernel x(t, s) on t in [a-N+1, b] x s in [a+N+1, b].
 
-    Column s lives on offsets [s-N, b]; :meth:`value` zero-extends it
-    below that, matching the pinned zero values at and below rho(s).
+    ``values`` is (t, s)-indexed like :attr:`GreensFunction.G`.  Column s
+    lives on offsets [s-N, b] and is zero below that, matching the pinned
+    zero values at and below rho(s).
     """
 
     a: float
     nu: float
     N: int
     b_offset: int
-    columns: Mapping[int, GridFunction]
-
-    def value(self, t_offset: int, s_offset: int) -> float:
-        col = self.columns[s_offset]
-        if t_offset < col.grid.lo:
-            return 0.0
-        return col.at(t_offset)
+    values: np.ndarray
 
     def column(self, s_offset: int) -> GridFunction:
-        return self.columns[s_offset]
+        """x(., s) on its own grid [s-N, b]."""
+        if s_offset not in self.s_offsets():
+            raise OffGridError(f"s offset {s_offset} outside [{self.N + 1}, {self.b_offset}]")
+        # t = s-N sits in row s-1, since rows start at t = 1-N
+        return GridFunction(Grid(self.a, s_offset - self.N, self.b_offset),
+                            self.values[s_offset - 1:, s_offset - self.N - 1])
 
     def s_offsets(self) -> range:
         return range(self.N + 1, self.b_offset + 1)
@@ -177,15 +167,15 @@ def cauchy_function(op: FracOperator) -> CauchyFunction:
     """
     n = op.N
     b = op.b_offset
-    cols = {}
+    values = np.zeros((b + n, b - n))
     for s in range(n + 1, b + 1):
         lo = s - n
         xs = [0.0] * (b - lo + 1)
         xs[s - lo] = 1.0 / op.p.at(s)
         for t in range(s + 1, b + 1):
             xs[t - lo] = -_row_value(op, xs, lo, s - 1, t) / op.p.at(t)
-        cols[s] = GridFunction(Grid(op.a, lo, b), tuple(xs))
-    return CauchyFunction(op.a, op.nu, n, b, MappingProxyType(cols))
+        values[s - 1:, s - n - 1] = xs
+    return CauchyFunction(op.a, op.nu, n, b, values)
 
 
 def variation_of_constants(op: FracOperator, h: GridFunction,
@@ -193,20 +183,13 @@ def variation_of_constants(op: FracOperator, h: GridFunction,
     """Particular solution x(t) = sum_{s=a+N+1}^{t} x(t,s) h(s).
 
     Solves L x = h with all N+1 initial conditions zero; the result is 0
-    on [a-N+1, a+N] and is returned on the extended grid.
+    on [a-N+1, a+N] and is returned on the extended grid.  x(t, s) = 0
+    for s > t, so the sum is one matrix-vector product.
     """
-    _check_forcing(op, h)
+    hv = h.values_on(op.a, op.N + 1, op.b_offset)
     if cauchy is None:
         cauchy = cauchy_function(op)
-    n = op.N
-    b = op.b_offset
-    lo = -(n - 1)
-    xs = [0.0] * (b - lo + 1)
-    for t in range(n + 1, b + 1):
-        xs[t - lo] = sum(
-            cauchy.value(t, s) * h.at(s) for s in range(n + 1, t + 1)
-        )
-    return GridFunction(Grid(op.a, lo, b), tuple(xs))
+    return GridFunction(Grid(op.a, -(op.N - 1), op.b_offset), cauchy.values @ hv)
 
 
 def homogeneous_basis(op: FracOperator, analytic: bool = False) -> tuple[GridFunction, ...]:
@@ -225,7 +208,7 @@ def homogeneous_basis(op: FracOperator, analytic: bool = False) -> tuple[GridFun
         grid = Grid(op.a, -(n - 1), op.b_offset)
         orders = [float(k) for k in range(n)] + [op.nu]
         return tuple(
-            GridFunction(grid, tuple(taylor_monomial(m, order) for m in grid.offsets()))
+            GridFunction(grid, [taylor_monomial(m, order) for m in grid.offsets()])
             for order in orders
         )
     h0 = zero_forcing(op)

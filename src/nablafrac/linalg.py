@@ -11,12 +11,15 @@ import numpy as np
 
 from .errors import SingularSystemError
 
+# a pivot below this times ||matrix||_inf (at least 1) is refused
+_SINGULAR_TOL = 1e-13
 
-def gauss_solve(matrix, rhs, singular_tol: float = 1e-13) -> np.ndarray:
+
+def gauss_solve(matrix, rhs) -> np.ndarray:
     """Solve a square dense system by partial-pivot elimination.
 
     Raises :class:`SingularSystemError` when a pivot falls below
-    ``singular_tol * ||matrix||_inf``.
+    ``_SINGULAR_TOL * max(||matrix||_inf, 1)``.
     """
     a = np.array(matrix, dtype=float)
     b = np.array(rhs, dtype=float)
@@ -38,7 +41,7 @@ def gauss_solve(matrix, rhs, singular_tol: float = 1e-13) -> np.ndarray:
             rows = np.flatnonzero(lam)  # a zero multiplier leaves its row untouched
             a[k + 1 + rows, k:] -= lam[rows, None] * a[k, k:]
             b[k + 1 + rows] -= lam[rows] * b[k]
-    if np.min(np.abs(pivots)) < singular_tol * max(norm, 1.0):
+    if np.min(np.abs(pivots)) < _SINGULAR_TOL * max(norm, 1.0):
         raise SingularSystemError(
             f"pivot {np.min(np.abs(pivots)):.3e} below tolerance for matrix norm {norm:.3e}"
         )

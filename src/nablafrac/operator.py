@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fraccalc import frac_sum
-from .grid import Grid, GridFunction, constant_grid_function
+from .grid import _POINT_TOL, Grid, GridFunction, constant_grid_function
 
 
 @dataclass(frozen=True)
@@ -23,15 +23,14 @@ class GhostClosure:
     """How to fill the N-1 grid points below the base.
 
     ``explicit`` supplies values for x(a-1), ..., x(a-N+1) in that order;
-    ``zero`` pins them to 0; ``natural`` marks analytically extended
-    basis functions and is never materialized by :func:`extend_with_closure`.
+    ``zero`` pins them to 0.
     """
 
     mode: str
     values: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        if self.mode not in ("zero", "explicit", "natural"):
+        if self.mode not in ("zero", "explicit"):
             raise ValueError(f"unknown closure mode {self.mode!r}")
         if self.mode != "explicit" and self.values:
             raise ValueError(f"{self.mode} closure takes no values")
@@ -43,23 +42,17 @@ class GhostClosure:
 
     @classmethod
     def explicit(cls, *values: float) -> "GhostClosure":
-        return cls("explicit", tuple(values))
-
-    @classmethod
-    def natural(cls) -> "GhostClosure":
-        return cls("natural")
+        return cls("explicit", values)
 
     def ghost_values(self, n_ghosts: int) -> tuple[float, ...]:
         """Values for x(a-1), ..., x(a-n_ghosts)."""
         if self.mode == "zero":
             return (0.0,) * n_ghosts
-        if self.mode == "explicit":
-            if len(self.values) != n_ghosts:
-                raise ValueError(
-                    f"explicit closure has {len(self.values)} values, need {n_ghosts}"
-                )
-            return self.values
-        raise ValueError("natural closure has no tabulated ghost values")
+        if len(self.values) != n_ghosts:
+            raise ValueError(
+                f"explicit closure has {len(self.values)} values, need {n_ghosts}"
+            )
+        return self.values
 
 
 @dataclass(frozen=True)
@@ -75,7 +68,8 @@ class FracOperator:
         n = math.ceil(self.nu)
         if float(self.nu).is_integer() or not n - 1 < self.nu < n:
             raise ValueError(f"nu must lie strictly between N-1 and N, got {self.nu}")
-        if abs(self.p.grid.base - self.a) > 1e-9 or abs(self.q.grid.base - self.a) > 1e-9:
+        if (abs(self.p.grid.base - self.a) > _POINT_TOL
+                or abs(self.q.grid.base - self.a) > _POINT_TOL):
             raise ValueError("p and q must be tabulated on grids based at a")
         b = self.p.grid.hi
         if b < n + 1:
@@ -84,7 +78,7 @@ class FracOperator:
             raise ValueError(
                 f"p must cover offsets [{n}, {b}] and q offsets [{n + 1}, {b}]"
             )
-        if any(v <= 0.0 for v in self.p.values):
+        if np.any(self.p.values <= 0.0):
             raise ValueError("p must be strictly positive")
 
     @property
@@ -112,20 +106,17 @@ class FracOperator:
 
     def is_basic(self) -> bool:
         """True when p == 1 and q == 0, the case with an analytic basis."""
-        return all(v == 1.0 for v in self.p.values) and all(v == 0.0 for v in self.q.values)
+        return bool(np.all(self.p.values == 1.0) and np.all(self.q.values == 0.0))
 
 
 def extend_with_closure(op: FracOperator, x: GridFunction,
                         closure: GhostClosure) -> GridFunction:
     """Prepend the N-1 ghost values of ``closure`` to x on [a, b]."""
     n = op.N
-    if x.grid.lo != 0 or abs(x.grid.base - op.a) > 1e-9:
+    if x.grid.lo != 0 or abs(x.grid.base - op.a) > _POINT_TOL:
         raise ValueError("x must be tabulated on [a, ...] based at a")
-    ghosts = closure.ghost_values(n - 1)
-    return GridFunction(
-        Grid(op.a, -(n - 1), x.grid.hi),
-        tuple(reversed(ghosts)) + x.values,
-    )
+    ghosts = closure.ghost_values(n - 1)[::-1]
+    return GridFunction(Grid(op.a, -(n - 1), x.grid.hi), np.concatenate((ghosts, x.values)))
 
 
 def apply_array(op: FracOperator, x: np.ndarray) -> np.ndarray:
@@ -141,18 +132,14 @@ def apply_array(op: FracOperator, x: np.ndarray) -> np.ndarray:
 def apply(op: FracOperator, x: GridFunction) -> GridFunction:
     """Evaluate (L x)(t) for t in [a+N+1, b].
 
-    x must be defined on [a-N+1, b] (ghost points included).
+    x must be defined on [a-N+1, b] (ghost points included).  Values
+    above b are passed on too: the Caputo convolution's bits depend on
+    its length.
     """
     n = op.N
     b = op.b_offset
-    if abs(x.grid.base - op.a) > 1e-9:
-        raise ValueError("x must be tabulated on a grid based at a")
-    if x.grid.lo > -(n - 1) or x.grid.hi < b:
-        raise ValueError(
-            f"x must cover offsets [{-(n - 1)}, {b}], got [{x.grid.lo}, {x.grid.hi}]"
-        )
     return GridFunction(Grid(op.a, n + 1, b),
-                        apply_array(op, np.asarray(x.values[-(n - 1) - x.grid.lo:])))
+                        apply_array(op, x.values_on(op.a, -(n - 1), max(b, x.grid.hi))))
 
 
 def leading_coefficient(op: FracOperator, t: float) -> float:

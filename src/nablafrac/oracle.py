@@ -47,24 +47,29 @@ class DenseSystem:
         return offset - self.lo
 
 
-def _equation_row(op: FracOperator, t: int, lo: int, m: int, kernel: list[float]) -> np.ndarray:
-    """Coefficients of (L x)(t) on x(lo), ..., x(b); kernel[k] = H_{N-nu-1}(k)."""
+def _equation_row(op: FracOperator, t: int, lo: int, m: int, kernel: np.ndarray) -> np.ndarray:
+    """Coefficients of (L x)(t) on x(lo), ..., x(b); kernel[k] = H_{N-nu-1}(k).
+
+    Term s of the Caputo sum at tau puts (w H(tau-s+1)) (-1)^i C(N,i) on
+    x(s-i); one slice over s per (tau, i), added in the order tau = t,
+    t-1 and i increasing.
+    """
     n = op.N
     row = np.zeros(m)
     for tau, w in ((t, op.p.at(t)), (t - 1, -op.p.at(t - 1))):
-        for s in range(1, tau + 1):
-            kern = w * kernel[tau - s + 1]
-            for i in range(n + 1):
-                row[s - i - lo] += kern * (-1) ** i * comb(n, i)
+        kern = w * kernel[tau:0:-1]  # s = 1..tau
+        for i in range(n + 1):
+            row[1 - i - lo:tau + 1 - i - lo] += kern * (-1) ** i * comb(n, i)
     row[t - 1 - lo] += op.q.at(t)
     return row
 
 
 def _equation_rows(op: FracOperator, h: GridFunction, lo: int, m: int):
     """Rows and right-hand sides of (L x)(t) = h(t), t in [N+1, b]; one monomial per offset."""
-    kernel = [taylor_monomial(k, op.N - op.nu - 1.0) for k in range(op.b_offset + 1)]
-    ts = range(op.N + 1, op.b_offset + 1)
-    return [_equation_row(op, t, lo, m, kernel) for t in ts], [h.at(t) for t in ts]
+    b = op.b_offset
+    kernel = np.array([taylor_monomial(k, op.N - op.nu - 1.0) for k in range(b + 1)])
+    rows = [_equation_row(op, t, lo, m, kernel) for t in range(op.N + 1, b + 1)]
+    return rows, h.values_on(op.a, op.N + 1, b).tolist()
 
 
 def _closure_rows(closure: GhostClosure, n: int, lo: int, m: int):
@@ -141,13 +146,13 @@ def dense_solve(sys: DenseSystem) -> GridFunction:
     x = gauss_solve(sys.matrix, sys.rhs)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("dense system condition number: %.3e", np.linalg.cond(sys.matrix))
-    return GridFunction(Grid(sys.a, sys.lo, sys.b_offset), tuple(x))
+    return GridFunction(Grid(sys.a, sys.lo, sys.b_offset), x)
 
 
 def residual(op: FracOperator, x: GridFunction, h: GridFunction) -> float:
     """||apply(op, x) - h||_inf over the equation rows."""
-    hs = [h.at(t) for t in range(op.N + 1, op.b_offset + 1)]
-    return float(np.max(np.abs(np.subtract(apply(op, x).values, hs))))
+    hs = h.values_on(op.a, op.N + 1, op.b_offset)
+    return float(np.max(np.abs(apply(op, x).values - hs)))
 
 
 def probe_equation_rows(op: FracOperator) -> np.ndarray:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,18 +13,66 @@ from nablafrac import (
 
 def test_tabulates_square():
     f = make_grid_function(Grid(0.0, 0, 3), lambda t: t * t)
-    assert f.values == (0.0, 1.0, 4.0, 9.0)
+    assert f.values.tobytes() == np.array([0.0, 1.0, 4.0, 9.0]).tobytes()
 
 
 def test_tabulates_constant_on_shifted_base():
     f = make_grid_function(Grid(2.5, -1, 1), lambda t: 1.0)
-    assert f.values == (1.0, 1.0, 1.0)
+    assert f.values.tobytes() == np.array([1.0, 1.0, 1.0]).tobytes()
     assert f(1.5) == 1.0 and f(3.5) == 1.0
 
 
 def test_singleton_grid():
     f = make_grid_function(Grid(0.0, 0, 0), lambda t: 7.0)
     assert f.values == (7.0,)
+
+
+def test_values_are_read_only():
+    f = GridFunction(Grid(0.0, 0, 2), [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        f.values[0] = 5.0
+    with pytest.raises(ValueError):
+        f.values_on(0.0, 1, 2)[0] = 5.0
+    assert f.values.tobytes() == np.array([1.0, 2.0, 3.0]).tobytes()
+
+
+def test_tuple_list_and_array_inputs_give_the_same_bytes():
+    src = np.array([0.1, -2.5, 3e300, 7.0])
+    grid = Grid(0.0, 0, 3)
+    want = src.tobytes()
+    for vals in (tuple(src.tolist()), src.tolist(), src, [0.1, -2.5, 3e300, 7]):
+        f = GridFunction(grid, vals)
+        assert f.values.dtype == np.float64 and f.values.tobytes() == want
+    f = GridFunction(grid, src)
+    src[0] = 99.0  # the input is copied
+    assert f.at(0) == 0.1
+
+
+def test_at_returns_a_python_float():
+    f = GridFunction(Grid(1.0, -1, 1), np.array([1.5, 2.5, 3.5]))
+    assert type(f.at(0)) is float and f.at(0) == 2.5
+    assert type(f(2.0)) is float and f(2.0) == 3.5
+
+
+def test_values_on_slices_by_offset():
+    f = GridFunction(Grid(2.0, -1, 4), [10.0, 11.0, 12.0, 13.0, 14.0, 15.0])
+    assert f.values_on(2.0, 1, 3).tolist() == [12.0, 13.0, 14.0]
+    assert f.values_on(2.0 + 1e-12, -1, -1).tolist() == [10.0]
+    assert f.values_on(2.0, 4, 3).size == 0
+
+
+def test_values_on_rejects_an_off_base():
+    f = GridFunction(Grid(2.0, -1, 4), [0.0] * 6)
+    for base in (2.5, 3.0, 2.0 + 1e-6):
+        with pytest.raises(OffGridError):
+            f.values_on(base, 0, 2)
+
+
+def test_values_on_rejects_an_uncovered_range():
+    f = GridFunction(Grid(2.0, -1, 4), [0.0] * 6)
+    for lo, hi in ((-2, 3), (0, 5), (-3, 7)):
+        with pytest.raises(OffGridError):
+            f.values_on(2.0, lo, hi)
 
 
 def test_empty_grid_rejected():

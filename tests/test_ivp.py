@@ -10,6 +10,7 @@ from nablafrac import (
     Grid,
     GridFunction,
     InitialConditions,
+    OffGridError,
     apply,
     cauchy_function,
     constant_grid_function,
@@ -65,10 +66,6 @@ class TestInitialConditions:
         assert ic_to_values(InitialConditions(a_vals)) == pytest.approx(tuple(oracle))
         assert ic_to_values(InitialConditions(a_vals)) == (1.0, 1.0, 1.0)
 
-    def test_natural_closure_rejected(self):
-        with pytest.raises(ValueError):
-            InitialConditions((0.0, 0.0), GhostClosure.natural())
-
 
 class TestSolveIvp:
     def test_trivial_solution(self):
@@ -102,7 +99,7 @@ class TestSolveIvp:
         op = random_operator(rng, 0.0, 1.5, 10)
         h = random_forcing(rng, op)
         ic = InitialConditions((1.0, 2.0, 3.0))
-        assert solve_ivp(op, h, ic).values == solve_ivp(op, h, ic).values
+        assert solve_ivp(op, h, ic).values.tobytes() == solve_ivp(op, h, ic).values.tobytes()
 
     def test_linear_in_forcing(self, rng):
         op = random_operator(rng, 0.0, 1.5, 10)
@@ -151,10 +148,11 @@ class TestSolveIvpIndexing:
             h = random_forcing(rng, op)
             wide = GridFunction(
                 Grid(0.0, -5, 27), (1e300, -7.0, 3e8, 1.0, 42.0) + (np.nan,) * (n + 1)
-                + h.values + (np.inf,) * 7,
+                + tuple(h.values) + (np.inf,) * 7,
             )
             ic = InitialConditions(tuple(rng.uniform(-1, 1, n + 1)))
-            assert solve_ivp(op, wide, ic).values == solve_ivp(op, h, ic).values
+            assert (solve_ivp(op, wide, ic).values.tobytes()
+                    == solve_ivp(op, h, ic).values.tobytes())
 
     def test_wrong_initial_value_count(self, rng):
         op = random_operator(rng, 0.0, 1.5, 10)
@@ -233,6 +231,25 @@ class TestCauchyFunction:
                     + op.q.at(t) * col.at(t - 1)
                 )
                 assert row == pytest.approx(0.0, abs=1e-10)
+
+    def test_one_array_zero_below_each_column(self, rng):
+        # rows t in [a-N+1, b], columns s in [a+N+1, b]; x(t, s) = 0 for t < s
+        op = random_operator(rng, 0.0, 2.4, 11)
+        cf = cauchy_function(op)
+        assert cf.values.shape == (11 + 3, 11 - 3)
+        t = np.arange(-2, 12)[:, None]
+        s = np.arange(4, 12)[None, :]
+        assert np.all(cf.values[t < s] == 0.0)
+        for si, s_off in enumerate(cf.s_offsets()):
+            col = cf.column(s_off)
+            assert (col.grid.lo, col.grid.hi) == (s_off - 3, 11)
+            assert col.values.tobytes() == cf.values[s_off - 1:, si].tobytes()
+
+    def test_column_outside_s_range_is_an_error(self):
+        cf = cauchy_function(FracOperator.constant(0.0, 1.5, 8))
+        for s in (2, 9, -1):
+            with pytest.raises(OffGridError):
+                cf.column(s)
 
 
 class TestVariationOfConstants:

@@ -141,19 +141,13 @@ class TestGhostClosure:
         op = FracOperator.constant(0.0, 0.5, 6)
         x = constant_grid_function(Grid(0.0, 0, 6), 1.0)
         ext = extend_with_closure(op, x, GhostClosure.zero())
-        assert ext.values == x.values and ext.grid == x.grid
+        assert ext.values.tobytes() == x.values.tobytes() and ext.grid == x.grid
 
     def test_wrong_explicit_count_rejected(self):
         op = FracOperator.constant(0.0, 1.5, 6)
         x = constant_grid_function(Grid(0.0, 0, 6), 1.0)
         with pytest.raises(ValueError):
             extend_with_closure(op, x, GhostClosure.explicit(1.0, 2.0))
-
-    def test_natural_closure_not_materializable(self):
-        op = FracOperator.constant(0.0, 1.5, 6)
-        x = constant_grid_function(Grid(0.0, 0, 6), 1.0)
-        with pytest.raises(ValueError):
-            extend_with_closure(op, x, GhostClosure.natural())
 
 
 class TestLeadingCoefficient:
