@@ -40,7 +40,7 @@ from .ivp import (
     variation_of_constants,
     zero_forcing,
 )
-from .bvp import BoundarySpec, DMatrix, assemble_d, left_bc_eval, right_bc_eval, solve_bvp
+from .bvp import BoundarySpec, DMatrix, assemble_d, boundary_rows, solve_bvp
 from .greens import (
     GreensFunction,
     build_greens,
@@ -79,6 +79,7 @@ __all__ = [
     "assemble_bvp",
     "assemble_d",
     "assemble_ivp",
+    "boundary_rows",
     "build_greens",
     "caputo_difference",
     "cauchy_function",
@@ -93,14 +94,12 @@ __all__ = [
     "ic_to_values",
     "kernel_weights",
     "leading_coefficient",
-    "left_bc_eval",
     "make_grid_function",
     "nabla",
     "nabla_integral",
     "nabla_n",
     "probe_equation_rows",
     "residual",
-    "right_bc_eval",
     "rising",
     "rl_difference",
     "solve_bvp",

@@ -1,5 +1,6 @@
-"""(N,1) boundary value problems: boundary functionals, the D-matrix,
-solvability detection, and solution assembly."""
+"""(N,1) boundary value problems: the boundary functionals as one matrix
+(:func:`boundary_rows`), the D-matrix, solvability detection, and solution
+assembly through the one D solve that ``solve_bvp`` and ``build_greens`` share."""
 
 from __future__ import annotations
 
@@ -17,25 +18,6 @@ from .operator import FracOperator
 
 _RANK_TOL = 1e-10
 _NEAR_SINGULAR_TOL = 1e-10
-
-
-def _nabla_pow_at(x: GridFunction, j: int, k: int) -> float:
-    """nabla^j x at offset k, by signed binomial sums."""
-    return sum((-1) ** i * comb(j, i) * x.at(k - i) for i in range(j + 1))
-
-
-def left_bc_eval(x: GridFunction, alpha_row: Sequence[float], a: float) -> float:
-    """sum_j alpha_j * nabla^j x(a+j)."""
-    k0 = x.grid.offset_of(a)
-    return sum(
-        aj * _nabla_pow_at(x, j, k0 + j) for j, aj in enumerate(alpha_row)
-    )
-
-
-def right_bc_eval(x: GridFunction, beta: Sequence[float], b: float) -> float:
-    """sum_j beta_j * nabla^j x(b), all differences anchored at b."""
-    kb = x.grid.offset_of(b)
-    return sum(bj * _nabla_pow_at(x, j, kb) for j, bj in enumerate(beta))
 
 
 @dataclass(frozen=True)
@@ -84,8 +66,31 @@ class BoundarySpec:
             right_value=C,
         )
 
-    def homogeneous(self) -> "BoundarySpec":
-        return BoundarySpec(self.alpha, (0.0,) * self.N, self.beta, 0.0)
+    @property
+    def values(self) -> tuple[float, ...]:
+        """(A_0, ..., A_{N-1}, B), in the order of the boundary rows."""
+        return self.left_values + (self.right_value,)
+
+
+def boundary_rows(spec: BoundarySpec, b: int) -> np.ndarray:
+    """The N+1 boundary functionals as rows over x(a-N+1), ..., x(a+b).
+
+    Row i < N is sum_j alpha_ij nabla^j x(a+j) and row N is
+    sum_j beta_j nabla^j x(a+b), with nabla^j x(t) =
+    sum_i (-1)^i C(j,i) x(t-i); ``b`` is the offset b - a.
+    """
+    n = spec.N
+    if b < n + 1:
+        raise ValueError(f"b - a = {b} must be at least N + 1 = {n + 1}")
+    lo = -(n - 1)
+    rows = np.zeros((n + 1, b - lo + 1))
+    alpha = np.array(spec.alpha)
+    for j in range(n + 1):
+        for i in range(j + 1):
+            w = (-1) ** i * comb(j, i)
+            rows[:n, j - i - lo] += alpha[:, j] * w
+            rows[n, b - i - lo] += spec.beta[j] * w
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,18 +111,27 @@ class DMatrix:
 
 def assemble_d(basis: Sequence[GridFunction], spec: BoundarySpec,
                op: FracOperator) -> DMatrix:
-    """Tabulate the (N+1) x (N+1) matrix of boundary functionals."""
+    """The (N+1) x (N+1) matrix of boundary functionals: entry (i, k) is row i applied to x_k."""
     n = spec.N
     if n != op.N:
         raise ValueError(f"spec has N={n} but operator has N={op.N}")
     if len(basis) != n + 1:
         raise ValueError(f"need {n + 1} basis functions, got {len(basis)}")
-    d = np.empty((n + 1, n + 1))
-    for k, x in enumerate(basis):
-        for i in range(n):
-            d[i, k] = left_bc_eval(x, spec.alpha[i], op.a)
-        d[n, k] = right_bc_eval(x, spec.beta, op.b)
-    return DMatrix(d)
+    vals = basis_values(basis, Grid(op.a, -(n - 1), op.b_offset))
+    return DMatrix(boundary_rows(spec, op.b_offset) @ vals.T)
+
+
+def _span_solve(op: FracOperator, spec: BoundarySpec, basis: Sequence[GridFunction],
+                rhs: np.ndarray) -> np.ndarray:
+    """sum_k c_k x_k on [a-N+1, b] for D c = rhs.
+
+    Raises :class:`NearSingularError` when det D vanishes at tolerance.
+    """
+    d = assemble_d(basis, spec, op)
+    if d.is_near_singular():
+        raise NearSingularError(f"boundary matrix is singular at tolerance (det = {d.det:.3e})")
+    grid = Grid(op.a, -(op.N - 1), op.b_offset)
+    return gauss_solve(d.entries, rhs) @ basis_values(basis, grid)
 
 
 def solve_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
@@ -125,25 +139,15 @@ def solve_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
     """Solve L x = h subject to ``spec`` within the span of ``basis``.
 
     x = x_p + sum a_k x_k with x_p the zero-data IVP solution and the
-    a_k from the D-matrix system.  Defaults to the numeric identity-IC
-    basis (zero ghost closure).  Raises :class:`NearSingularError` when
-    det D vanishes at tolerance.
+    a_k from D a = spec.values - boundary_rows @ x_p.  Defaults to the
+    numeric identity-IC basis (zero ghost closure).  Raises
+    :class:`NearSingularError` when det D vanishes at tolerance.
     """
     if basis is None:
         basis = homogeneous_basis(op)
-    d = assemble_d(basis, spec, op)
-    if d.is_near_singular():
-        raise NearSingularError(
-            f"boundary matrix is singular at tolerance (det = {d.det:.3e})"
-        )
     xp = solve_ivp(op, h, InitialConditions.zeros(op.N))
-    n = spec.N
-    rhs = np.empty(n + 1)
-    for i in range(n):
-        rhs[i] = spec.left_values[i] - left_bc_eval(xp, spec.alpha[i], op.a)
-    rhs[n] = spec.right_value - right_bc_eval(xp, spec.beta, op.b)
-    coeffs = gauss_solve(d.entries, rhs)
-    return GridFunction(xp.grid, xp.values + coeffs @ basis_values(basis, xp.grid))
+    rhs = np.array(spec.values) - boundary_rows(spec, op.b_offset) @ xp.values
+    return GridFunction(xp.grid, xp.values + _span_solve(op, spec, basis, rhs))
 
 
 def basis_values(basis: Sequence[GridFunction], grid: Grid) -> np.ndarray:

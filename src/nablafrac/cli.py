@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Sequence
 
-from .bvp import BoundarySpec, left_bc_eval, right_bc_eval, solve_bvp
+from .bvp import BoundarySpec, boundary_rows, solve_bvp
 from .errors import DegenerateDenominatorError, NearSingularError, SingularSystemError
 from .grid import Grid, GridFunction
 from .ivp import InitialConditions, cauchy_function, homogeneous_basis, solve_ivp
@@ -219,10 +219,9 @@ def _greens_from_args(args):
             if not op.is_basic():
                 raise ConfigError("problem.conjugate", "requires p == 1 and q == 0")
             return conjugate_greens_closed_form(op.a, op.b, op.nu)
-        spec = BoundarySpec.conjugate() if op.N == 2 else None
-        if spec is None:
+        if op.N != 2:
             raise ConfigError("problem", "generic greens output needs N == 2 conjugate spec")
-        return build_greens(op, spec, homogeneous_basis(op))
+        return build_greens(op, BoundarySpec.conjugate(), homogeneous_basis(op))
     if not args.conjugate:
         raise ConfigError("<args>", "greens needs --config or --conjugate with a=, b=, nu=")
     try:
@@ -248,8 +247,8 @@ def cmd_greens(args) -> int:
 
 
 def _boundary_gap(x: GridFunction, spec: BoundarySpec, op: FracOperator) -> float:
-    left = max(abs(left_bc_eval(x, row, op.a) - v) for row, v in zip(spec.alpha, spec.left_values))
-    return max(left, abs(right_bc_eval(x, spec.beta, op.b) - spec.right_value))
+    xs = x.values_on(op.a, -(op.N - 1), op.b_offset)
+    return float(np.max(np.abs(boundary_rows(spec, op.b_offset) @ xs - spec.values)))
 
 
 def _max_gap(x: GridFunction, y: GridFunction) -> float:

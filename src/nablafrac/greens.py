@@ -6,6 +6,8 @@ v = u + Cauchy column (on and above it).  Cells outside the stated
 piecewise regions carry the u-branch value and are flagged ``u*``;
 comparisons quantify only over the stated region.  The t range is
 extended down to a-N+1 so that operator residual checks are possible.
+The generic builder shares the D solve of :mod:`nablafrac.bvp` and takes r(s)
+from the last row of :func:`~nablafrac.bvp.boundary_rows`.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bvp import BoundarySpec, assemble_d, basis_values, right_bc_eval
-from .errors import DegenerateDenominatorError, NearSingularError
+from .bvp import BoundarySpec, _span_solve, boundary_rows
+from .errors import DegenerateDenominatorError
 from .grid import _POINT_TOL, Grid, GridFunction
 from .ivp import cauchy_function
-from .linalg import gauss_solve
 from .monomial import kernel_weights
 from .operator import FracOperator
 
@@ -94,15 +95,10 @@ def build_greens(op: FracOperator, spec: BoundarySpec,
     """
     n = op.N
     b = op.b_offset
-    d = assemble_d(basis, spec, op)
-    if d.is_near_singular():
-        raise NearSingularError(
-            f"boundary matrix is singular at tolerance (det = {d.det:.3e})"
-        )
+    combo = _span_solve(op, spec, basis, np.eye(n + 1)[n])
     cf = cauchy_function(op)
-    r = np.array([right_bc_eval(cf.column(s), spec.beta, op.b) for s in cf.s_offsets()])
-    c = gauss_solve(d.entries, np.eye(n + 1)[n])
-    u = -np.outer(c @ basis_values(basis, Grid(op.a, -(n - 1), b)), r)
+    r = boundary_rows(spec, b)[n] @ cf.values
+    u = -np.outer(combo, r)
     return _assemble(op.a, op.nu, n, b, u, u + cf.values, _branch_table(n, b))
 
 

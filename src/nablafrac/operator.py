@@ -120,10 +120,10 @@ def extend_with_closure(op: FracOperator, x: GridFunction,
 
 
 def apply_array(op: FracOperator, x: np.ndarray) -> np.ndarray:
-    """(L x)(t) for t in [a+N+1, b] from the values of x on [a-N+1, hi], hi >= b."""
+    """(L x)(t) for t in [a+N+1, b] from the values of x on [a-N+1, b]."""
     n = op.N
     b = op.b_offset
-    cap = frac_sum(np.diff(x, n), n - op.nu)  # on [1, hi]
+    cap = frac_sum(np.diff(x, n), n - op.nu)  # on [1, b]
     flux = np.multiply(op.p.values, cap[n - 1:b])  # on [n, b]
     shifted = np.multiply(op.q.values, x[2 * n - 1:b + n - 1])  # x(t-1), t in [n+1, b]
     return np.diff(flux) + shifted
@@ -132,14 +132,13 @@ def apply_array(op: FracOperator, x: np.ndarray) -> np.ndarray:
 def apply(op: FracOperator, x: GridFunction) -> GridFunction:
     """Evaluate (L x)(t) for t in [a+N+1, b].
 
-    x must be defined on [a-N+1, b] (ghost points included).  Values
-    above b are passed on too: the Caputo convolution's bits depend on
-    its length.
+    x must be defined on [a-N+1, b] (ghost points included); only those
+    values are read, so the result does not depend on how far x's grid
+    reaches past b.
     """
     n = op.N
     b = op.b_offset
-    return GridFunction(Grid(op.a, n + 1, b),
-                        apply_array(op, x.values_on(op.a, -(n - 1), max(b, x.grid.hi))))
+    return GridFunction(Grid(op.a, n + 1, b), apply_array(op, x.values_on(op.a, -(n - 1), b)))
 
 
 def leading_coefficient(op: FracOperator, t: float) -> float:

@@ -25,11 +25,9 @@ from nablafrac import (
     frac_integral,
     greens_solve,
     homogeneous_basis,
-    left_bc_eval,
     nabla_n,
     probe_equation_rows,
     residual,
-    right_bc_eval,
     rl_difference,
     solve_bvp,
     solve_ivp,

@@ -1,19 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from nablafrac import (
     BoundarySpec,
     FracOperator,
+    GhostClosure,
     Grid,
     GridFunction,
     NearSingularError,
     apply,
+    assemble_bvp,
     assemble_d,
+    boundary_rows,
     homogeneous_basis,
-    left_bc_eval,
     make_grid_function,
     residual,
-    right_bc_eval,
     solve_bvp,
     taylor_monomial,
     zero_forcing,
@@ -21,30 +24,53 @@ from nablafrac import (
 from conftest import max_gap, random_forcing, random_operator
 
 
+def functionals(x, alpha_row=(1.0, 0.0, 0.0), beta=(1.0, 0.0, 0.0)):
+    """The rows of a spec with left rows (alpha_row, e_2) and right row beta, applied to x."""
+    spec = BoundarySpec((alpha_row, (0.0, 0.0, 1.0)), (0.0, 0.0), beta, 0.0)
+    return boundary_rows(spec, x.grid.hi) @ x.values
+
+
 class TestBoundaryEvaluators:
     def test_left_unit_row_picks_endpoint_value(self):
         x = make_grid_function(Grid(0.0, -1, 6), lambda t: t * t + 1)
-        assert left_bc_eval(x, (1.0, 0.0, 0.0), 0.0) == x.at(0)
+        assert functionals(x, alpha_row=(1.0, 0.0, 0.0))[0] == x.at(0)
 
     def test_left_first_difference_row(self):
         x = make_grid_function(Grid(0.0, -1, 6), lambda t: t * t)
-        assert left_bc_eval(x, (0.0, 1.0, 0.0), 0.0) == x.at(1) - x.at(0)
+        assert functionals(x, alpha_row=(0.0, 1.0, 0.0))[0] == x.at(1) - x.at(0)
 
     def test_left_mixed_row(self):
         x = make_grid_function(Grid(0.0, -1, 6), lambda t: t)
-        assert left_bc_eval(x, (1.0, 1.0, 0.0), 0.0) == 0.0 + 1.0
+        assert functionals(x, alpha_row=(1.0, 1.0, 0.0))[0] == 0.0 + 1.0
 
     def test_right_unit_row_picks_endpoint_value(self):
         x = make_grid_function(Grid(0.0, -1, 6), lambda t: t ** 3)
-        assert right_bc_eval(x, (1.0, 0.0, 0.0), 6.0) == x.at(6)
+        assert functionals(x, beta=(1.0, 0.0, 0.0))[2] == x.at(6)
 
     def test_right_first_difference_of_identity(self):
         x = make_grid_function(Grid(0.0, -1, 6), lambda t: t)
-        assert right_bc_eval(x, (0.0, 1.0, 0.0), 6.0) == 1.0
+        assert functionals(x, beta=(0.0, 1.0, 0.0))[2] == 1.0
 
     def test_right_second_difference_of_square(self):
         x = make_grid_function(Grid(0.0, -1, 6), lambda t: t * t)
-        assert right_bc_eval(x, (0.0, 0.0, 1.0), 6.0) == 2.0
+        assert functionals(x, beta=(0.0, 0.0, 1.0))[2] == 2.0
+
+    def test_rows_equal_the_oracle_boundary_rows(self, rng):
+        # the oracle's rows N-1 .. 2N-1 are its own expansion of the same functionals
+        for trial in range(60):
+            nu = float(rng.choice((0.6, 1.5, 2.5)))
+            n = math.ceil(nu)
+            b = int(rng.integers(n + 1, 41))
+            op = random_operator(rng, 0.0, nu, b)
+            spec = BoundarySpec(tuple(map(tuple, rng.uniform(-2, 2, (n, n + 1)))),
+                                tuple(rng.uniform(-1, 1, n)),
+                                tuple(rng.uniform(-2, 2, n + 1)), 0.5)
+            dense = assemble_bvp(op, random_forcing(rng, op), spec, GhostClosure.zero())
+            assert boundary_rows(spec, b).tobytes() == dense.matrix[n - 1:2 * n].tobytes()
+
+    def test_domain_shorter_than_n_plus_one_rejected(self):
+        with pytest.raises(ValueError):
+            boundary_rows(BoundarySpec.conjugate(), 2)
 
 
 class TestBoundarySpec:
@@ -147,13 +173,8 @@ class TestSolveBvp:
             spec = BoundarySpec.conjugate(*rng.uniform(-1, 1, 3))
             x = solve_bvp(op, h, spec)
             assert residual(op, x, h) < 1e-8
-            for i in range(2):
-                assert left_bc_eval(x, spec.alpha[i], 0.0) == pytest.approx(
-                    spec.left_values[i], abs=1e-9
-                )
-            assert right_bc_eval(x, spec.beta, 12.0) == pytest.approx(
-                spec.right_value, abs=1e-9
-            )
+            got = boundary_rows(spec, 12) @ x.values
+            assert got.tolist() == pytest.approx(spec.values, abs=1e-9)
 
     def test_general_left_rows(self, rng):
         op = random_operator(rng, 0.0, 1.5, 11)
@@ -166,9 +187,8 @@ class TestSolveBvp:
         )
         x = solve_bvp(op, h, spec)
         assert residual(op, x, h) < 1e-8
-        assert left_bc_eval(x, spec.alpha[0], 0.0) == pytest.approx(0.3, abs=1e-9)
-        assert left_bc_eval(x, spec.alpha[1], 0.0) == pytest.approx(-0.7, abs=1e-9)
-        assert right_bc_eval(x, spec.beta, 11.0) == pytest.approx(0.9, abs=1e-9)
+        got = boundary_rows(spec, 11) @ x.values
+        assert got.tolist() == pytest.approx([0.3, -0.7, 0.9], abs=1e-9)
 
     def test_invariant_under_basis_scaling(self, rng):
         op = random_operator(rng, 0.0, 1.5, 10)

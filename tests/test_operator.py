@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -112,15 +114,28 @@ class TestApply:
     @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
     def test_bit_identical_to_grid_function_composition(self, rng, nu):
         # reference: the Caputo difference as a GridFunction, then p*, nabla, + q x(t-1);
-        # x is wider than [a-N+1, b] on both sides
+        # x is wider than [a-N+1, b] on both sides, and apply reads it only up to b
         op = random_operator(rng, 0.0, nu, 37)
         n, b = op.N, op.b_offset
         x = GridFunction(Grid(0.0, -n - 2, b + 3), tuple(rng.uniform(-1, 1, b + n + 6)))
-        cap = caputo_difference(x, op.a, op.nu).values
+        cut = GridFunction(Grid(0.0, x.grid.lo, b), x.values_on(0.0, x.grid.lo, b))
+        cap = caputo_difference(cut, op.a, op.nu).values
         flux = np.multiply(op.p.values, cap[n:b + 1])
         shifted = np.multiply(op.q.values, x.values[n - x.grid.lo:b - x.grid.lo])
         want = np.diff(flux) + shifted
         assert np.array(apply(op, x).values).tobytes() == want.tobytes()
+
+    def test_same_bits_on_a_wider_grid(self, rng):
+        # np.convolve's bits depend on its input length, so values above b must not reach it
+        for trial in range(100):
+            nu = float(rng.choice((0.6, 1.5, 2.5, 3.3)))
+            n = math.ceil(nu)
+            b = int(rng.integers(n + 2, 60))
+            op = random_operator(rng, 0.0, nu, b)
+            xv = rng.uniform(-1, 1, b + n + int(rng.integers(1, 20)))
+            wide = GridFunction(Grid(0.0, -(n - 1), len(xv) - n), xv)
+            cut = GridFunction(Grid(0.0, -(n - 1), b), xv[:b + n])
+            assert apply(op, wide).values.tobytes() == apply(op, cut).values.tobytes()
 
 
 class TestGhostClosure:
