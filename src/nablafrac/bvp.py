@@ -44,12 +44,16 @@ class BoundarySpec:
             raise ValueError(f"beta must have {n + 1} entries")
         if len(self.left_values) != n:
             raise ValueError(f"need {n} left boundary values")
+        if not np.all(np.isfinite(np.concatenate((np.ravel(alpha), self.beta, self.values)))):
+            raise ValueError("boundary coefficients and values must be finite")
         for i, row in enumerate(alpha):
-            if sum(v * v for v in row) == 0.0:
+            if not any(v != 0.0 for v in row):
                 raise ValueError(f"alpha row {i} is identically zero")
-        if sum(v * v for v in self.beta) == 0.0:
+        if not any(v != 0.0 for v in self.beta):
             raise ValueError("beta row is identically zero")
-        if np.linalg.matrix_rank(np.array(alpha), tol=_RANK_TOL) < n:
+        rows = np.array(alpha)
+        rows /= np.max(np.abs(rows), axis=1, keepdims=True)  # rank test free of scale
+        if np.linalg.matrix_rank(rows, tol=_RANK_TOL) < n:
             raise ValueError("alpha rows are linearly dependent")
 
     @property

@@ -42,12 +42,31 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _is_number(v) -> bool:
+    """A finite int or float; json.load reads NaN and Infinity, and a bool is an int."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _numbers(values, field: str) -> list:
+    """values if it is a list of finite numbers, else a ConfigError naming field."""
+    if not isinstance(values, list) or not all(_is_number(v) for v in values):
+        raise ConfigError(field, "expected a list of finite numbers")
+    return values
+
+
 def _require(cfg: dict, field: str, types) -> object:
     if field not in cfg:
         raise ConfigError(field, "missing")
     v = cfg[field]
-    if not isinstance(v, types):
+    if isinstance(v, bool) or not isinstance(v, types):
         raise ConfigError(field, f"expected {types}, got {type(v).__name__}")
+    if isinstance(v, (int, float)) and not _is_number(v):
+        raise ConfigError(field, f"must be finite, got {v}")
     return v
 
 
@@ -56,10 +75,8 @@ def _coefficient(cfg: dict, field: str, a: float, lo: int, hi: int) -> GridFunct
     spec = _require(cfg, field, (int, float, dict))
     if isinstance(spec, (int, float)):
         return GridFunction(Grid(a, lo, hi), np.full(hi - lo + 1, float(spec)))
-    values = spec.get("values")
+    values = _numbers(spec.get("values"), f"{field}.values")
     start = spec.get("start", lo)
-    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
-        raise ConfigError(f"{field}.values", "expected a list of numbers")
     if start != lo or len(values) != hi - lo + 1:
         raise ConfigError(
             field,
@@ -91,7 +108,7 @@ def build_operator(cfg: dict) -> FracOperator:
     if b_off < n + 1:
         raise ConfigError("b_offset", f"must be at least N+1 = {n + 1}")
     p = _coefficient(cfg, "p", a, n, b_off)
-    if np.any(p.values <= 0):
+    if not np.all(p.values > 0):
         raise ConfigError("p", "must be strictly positive")
     q = _coefficient(cfg, "q", a, n + 1, b_off)
     return FracOperator(a, nu, p, q)
@@ -104,24 +121,22 @@ def build_forcing(cfg: dict, op: FracOperator) -> GridFunction:
 def _ghost_closure(spec: dict | None) -> GhostClosure:
     if spec is None:
         return GhostClosure.zero()
+    if not isinstance(spec, dict):
+        raise ConfigError("problem.ghost", "expected an object")
     mode = spec.get("mode", "zero")
     if mode == "zero":
         return GhostClosure.zero()
     if mode == "explicit":
-        values = spec.get("values", [])
-        if not all(isinstance(v, (int, float)) for v in values):
-            raise ConfigError("problem.ghost.values", "expected numbers")
-        return GhostClosure.explicit(*values)
+        return GhostClosure.explicit(*_numbers(spec.get("values", []), "problem.ghost.values"))
     raise ConfigError("problem.ghost.mode", f"unknown mode {mode!r}")
 
 
 def build_initial_conditions(problem: dict, op: FracOperator) -> InitialConditions:
-    a_vals = problem.get("A")
-    if (not isinstance(a_vals, list) or len(a_vals) != op.N + 1
-            or not all(isinstance(v, (int, float)) for v in a_vals)):
+    a_vals = _numbers(problem.get("A"), "problem.A")
+    if len(a_vals) != op.N + 1:
         raise ConfigError("problem.A", f"expected {op.N + 1} numbers")
+    closure = _ghost_closure(problem.get("ghost"))
     try:
-        closure = _ghost_closure(problem.get("ghost"))
         closure.ghost_values(op.N - 1)  # a wrong explicit ghost count is a config error
         return InitialConditions(a_vals, closure)
     except ValueError as exc:
@@ -129,14 +144,18 @@ def build_initial_conditions(problem: dict, op: FracOperator) -> InitialConditio
 
 
 def build_boundary_spec(problem: dict, op: FracOperator) -> BoundarySpec:
+    alpha = problem.get("alpha", [])
+    if not isinstance(alpha, list):
+        raise ConfigError("problem.alpha", "expected a list of rows")
+    alpha = tuple(tuple(_numbers(row, "problem.alpha")) for row in alpha)
+    left = tuple(_numbers(problem.get("A", []), "problem.A"))
+    beta = tuple(_numbers(problem.get("beta", []), "problem.beta"))
+    right = problem.get("B", 0.0)
+    if not _is_number(right):
+        raise ConfigError("problem.B", "expected a finite number")
     try:
-        spec = BoundarySpec(
-            alpha=tuple(tuple(row) for row in problem.get("alpha", ())),
-            left_values=tuple(problem.get("A", ())),
-            beta=tuple(problem.get("beta", ())),
-            right_value=problem.get("B", 0.0),
-        )
-    except (TypeError, ValueError) as exc:
+        spec = BoundarySpec(alpha, left, beta, right)
+    except ValueError as exc:
         raise ConfigError("problem", str(exc))
     if spec.N != op.N:
         raise ConfigError("problem.alpha", f"expected {op.N} rows for N = {op.N}, got {spec.N}")
@@ -304,7 +323,9 @@ def cmd_verify(args) -> int:
         try:
             tol = float(env)
         except ValueError:
-            print(f"error: NABLA_GREEN_TOL={env!r} is not a number", file=sys.stderr)
+            tol = math.nan
+        if not (math.isfinite(tol) and tol > 0):
+            print(f"error: NABLA_GREEN_TOL={env!r} is not a finite number > 0", file=sys.stderr)
             return 1
     cfg = load_config(args.config)
     failed = None

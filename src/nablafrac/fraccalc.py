@@ -70,8 +70,15 @@ def _base_offset(f: GridFunction, base: float) -> int:
 
 
 def frac_sum(f: np.ndarray, nu: float) -> np.ndarray:
-    """Order-``nu`` sum of f = f(base+1..base+m), at base+1..base+m (see frac_integral)."""
-    return np.convolve(kernel_weights(len(f), nu - 1.0)[1:], f)[:len(f)]
+    """Order-``nu`` sum of f = f(base+1..base+m), at base+1..base+m (see frac_integral).
+
+    A 2-D f is one function per column: one kernel, one convolution per column.
+    """
+    m = len(f)
+    w = kernel_weights(m, nu - 1.0)[1:]
+    if f.ndim == 1:
+        return np.convolve(w, f)[:m]
+    return np.stack([np.convolve(w, c)[:m] for c in f.T], axis=1)
 
 
 def frac_integral(f: GridFunction, base: float, nu: float) -> GridFunction:

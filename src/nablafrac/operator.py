@@ -78,7 +78,7 @@ class FracOperator:
             raise ValueError(
                 f"p must cover offsets [{n}, {b}] and q offsets [{n + 1}, {b}]"
             )
-        if np.any(self.p.values <= 0.0):
+        if not np.all(self.p.values > 0.0):
             raise ValueError("p must be strictly positive")
 
     @property
@@ -120,13 +120,17 @@ def extend_with_closure(op: FracOperator, x: GridFunction,
 
 
 def apply_array(op: FracOperator, x: np.ndarray) -> np.ndarray:
-    """(L x)(t) for t in [a+N+1, b] from the values of x on [a-N+1, b]."""
+    """(L x)(t) for t in [a+N+1, b] from the values of x on [a-N+1, b].
+
+    x is (b+N,) or (b+N, k), one function per column, elementwise along axis 0.
+    """
     n = op.N
     b = op.b_offset
-    cap = frac_sum(np.diff(x, n), n - op.nu)  # on [1, b]
-    flux = np.multiply(op.p.values, cap[n - 1:b])  # on [n, b]
-    shifted = np.multiply(op.q.values, x[2 * n - 1:b + n - 1])  # x(t-1), t in [n+1, b]
-    return np.diff(flux) + shifted
+    col = (slice(None),) + (None,) * (x.ndim - 1)  # p and q along axis 0
+    cap = frac_sum(np.diff(x, n, axis=0), n - op.nu)  # on [1, b]
+    flux = np.multiply(op.p.values[col], cap[n - 1:b])  # on [n, b]
+    shifted = np.multiply(op.q.values[col], x[2 * n - 1:b + n - 1])  # x(t-1), t in [n+1, b]
+    return np.diff(flux, axis=0) + shifted
 
 
 def apply(op: FracOperator, x: GridFunction) -> GridFunction:

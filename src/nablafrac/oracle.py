@@ -2,11 +2,11 @@
 IVP or BVP on the extended grid and solve it independently of the
 structured solvers.
 
-The equation rows are generated symbolically by index (binomial weights
-of nabla^N convolved with the Caputo kernel values), not by probing
-``operator.apply`` with unit vectors; a separately coded expansion is a
-genuine oracle.  The unit-vector probe is kept as a third implementation
-for mutual agreement tests.
+The equation rows are one block built symbolically by index: a scalar
+``taylor_monomial`` per kernel offset, broadcast over the lags, times the
+binomial weights of nabla^N.  Neither ``kernel_weights`` nor a solver is
+used, so this is a genuine oracle.  ``probe_equation_rows`` (``apply_array``
+on the identity) is a third implementation for mutual agreement tests.
 """
 
 from __future__ import annotations
@@ -47,29 +47,30 @@ class DenseSystem:
         return offset - self.lo
 
 
-def _equation_row(op: FracOperator, t: int, lo: int, m: int, kernel: np.ndarray) -> np.ndarray:
-    """Coefficients of (L x)(t) on x(lo), ..., x(b); kernel[k] = H_{N-nu-1}(k).
+def _system(op: FracOperator, h: GridFunction, rows: list, rhs: list) -> DenseSystem:
+    """The given leading rows, then (L x)(t) = h(t) for t in [N+1, b] as one block.
 
     Term s of the Caputo sum at tau puts (w H(tau-s+1)) (-1)^i C(N,i) on
-    x(s-i); one slice over s per (tau, i), added in the order tau = t,
-    t-1 and i increasing.
+    x(s-i).  Each (tau, i) is one slice update over s = 1..b for all rows,
+    in the order tau = t, t-1 and i increasing; lags tau-s+1 <= 0 read
+    exact zeros, which leave sums that start from +0.0 unchanged.
     """
     n = op.N
-    row = np.zeros(m)
-    for tau, w in ((t, op.p.at(t)), (t - 1, -op.p.at(t - 1))):
-        kern = w * kernel[tau:0:-1]  # s = 1..tau
-        for i in range(n + 1):
-            row[1 - i - lo:tau + 1 - i - lo] += kern * (-1) ** i * comb(n, i)
-    row[t - 1 - lo] += op.q.at(t)
-    return row
-
-
-def _equation_rows(op: FracOperator, h: GridFunction, lo: int, m: int):
-    """Rows and right-hand sides of (L x)(t) = h(t), t in [N+1, b]; one monomial per offset."""
     b = op.b_offset
-    kernel = np.array([taylor_monomial(k, op.N - op.nu - 1.0) for k in range(b + 1)])
-    rows = [_equation_row(op, t, lo, m, kernel) for t in range(op.N + 1, b + 1)]
-    return rows, h.values_on(op.a, op.N + 1, b).tolist()
+    lo = 1 - n
+    kernel = np.array([taylor_monomial(k, n - op.nu - 1.0) for k in range(b + 1)])
+    padded = np.concatenate((np.zeros(b), kernel))  # padded[b + k] = H(k); 0 for k < 0
+    t = np.arange(n + 1, b + 1)
+    lag = b + t[:, None] - np.arange(1, b + 1)  # b + (t-1) - s + 1
+    p = op.p.values  # on [n, b]
+    eq = np.zeros((b - n, b + n))
+    for w, k in ((p[1:], lag + 1), (-p[:-1], lag)):
+        kern = w[:, None] * padded[k]
+        for i in range(n + 1):
+            eq[:, 1 - i - lo:b + 1 - i - lo] += kern * (-1) ** i * comb(n, i)
+    eq[np.arange(b - n), t - 1 - lo] += op.q.values
+    return DenseSystem(op.a, op.nu, n, b, np.vstack(rows + [eq]),
+                       np.concatenate((rhs, h.values_on(op.a, n + 1, b))))
 
 
 def _closure_rows(closure: GhostClosure, n: int, lo: int, m: int):
@@ -82,39 +83,27 @@ def _closure_rows(closure: GhostClosure, n: int, lo: int, m: int):
     return rows, rhs
 
 
-def _left_row(alpha_row: Sequence[float], lo: int, m: int) -> np.ndarray:
+def _functional_row(coeffs: Sequence[float], points: Sequence[int], lo: int,
+                    m: int) -> np.ndarray:
+    """Row of sum_j coeffs[j] nabla^j x(a + points[j]) over x(lo), ..., x(b)."""
     row = np.zeros(m)
-    for j, aj in enumerate(alpha_row):
+    for j, (cj, tj) in enumerate(zip(coeffs, points)):
         for i in range(j + 1):
-            row[j - i - lo] += aj * (-1) ** i * comb(j, i)
-    return row
-
-
-def _right_row(beta: Sequence[float], b: int, lo: int, m: int) -> np.ndarray:
-    row = np.zeros(m)
-    for j, bj in enumerate(beta):
-        for i in range(j + 1):
-            row[b - i - lo] += bj * (-1) ** i * comb(j, i)
+            row[tj - i - lo] += cj * (-1) ** i * comb(j, i)
     return row
 
 
 def assemble_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> DenseSystem:
     """Dense system for L x = h with nabla^i x(a+i) = A_i and ic.closure."""
     n = op.N
-    b = op.b_offset
-    lo = -(n - 1)
-    m = b - lo + 1
+    lo, m = 1 - n, op.b_offset + n
     if len(ic.values) != n + 1:
         raise ValueError(f"need {n + 1} initial values, got {len(ic.values)}")
     rows, rhs = _closure_rows(ic.closure, n, lo, m)
     for i, a_i in enumerate(ic.values):
-        row = np.zeros(m)
-        for j in range(i + 1):
-            row[i - j - lo] += (-1) ** j * comb(i, j)
-        rows.append(row)
+        rows.append(_functional_row(np.eye(n + 1)[i], range(n + 1), lo, m))
         rhs.append(a_i)
-    eq_rows, eq_rhs = _equation_rows(op, h, lo, m)
-    return DenseSystem(op.a, op.nu, n, b, np.array(rows + eq_rows), np.array(rhs + eq_rhs))
+    return _system(op, h, rows, rhs)
 
 
 def assemble_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
@@ -122,19 +111,16 @@ def assemble_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
     """Dense system for L x = h with the BoundarySpec functionals and a
     ghost closure (the structured BVP solver's numeric basis uses zero)."""
     n = op.N
-    b = op.b_offset
     if spec.N != n:
         raise ValueError(f"spec has N={spec.N} but operator has N={n}")
-    lo = -(n - 1)
-    m = b - lo + 1
+    lo, m = 1 - n, op.b_offset + n
     rows, rhs = _closure_rows(closure, n, lo, m)
     for i in range(n):
-        rows.append(_left_row(spec.alpha[i], lo, m))
+        rows.append(_functional_row(spec.alpha[i], range(n + 1), lo, m))
         rhs.append(spec.left_values[i])
-    rows.append(_right_row(spec.beta, b, lo, m))
+    rows.append(_functional_row(spec.beta, [op.b_offset] * (n + 1), lo, m))
     rhs.append(spec.right_value)
-    eq_rows, eq_rhs = _equation_rows(op, h, lo, m)
-    return DenseSystem(op.a, op.nu, n, b, np.array(rows + eq_rows), np.array(rhs + eq_rhs))
+    return _system(op, h, rows, rhs)
 
 
 def dense_solve(sys: DenseSystem) -> GridFunction:
@@ -158,7 +144,8 @@ def residual(op: FracOperator, x: GridFunction, h: GridFunction) -> float:
 def probe_equation_rows(op: FracOperator) -> np.ndarray:
     """Equation-row matrix obtained by applying the operator to unit vectors.
 
-    A third, independent implementation used to cross-check the symbolic
-    expansion in :func:`assemble_ivp` / :func:`assemble_bvp`.
+    One :func:`apply_array` call on the identity, one column per unit
+    vector: a third, independent implementation used to cross-check the
+    symbolic expansion in :func:`assemble_ivp` / :func:`assemble_bvp`.
     """
-    return np.array([apply_array(op, e) for e in np.eye(op.b_offset + op.N)]).T
+    return apply_array(op, np.eye(op.b_offset + op.N))

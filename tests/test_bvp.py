@@ -107,6 +107,30 @@ class TestBoundarySpec:
                 right_value=0.0,
             )
 
+    @pytest.mark.parametrize("alpha", [((1e-170, 0.0),), ((1e-11, 0.0),)])
+    def test_tiny_rows_accepted(self, alpha):
+        # a zero test on sum(v*v) underflows, and an absolute rank tolerance sees rank 0
+        spec = BoundarySpec(alpha, (0.0,), (1e-170, 0.0), 0.0)
+        assert spec.alpha == alpha
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_data_rejected(self, bad):
+        for alpha, beta, right in [(((bad, 0.0),), (1.0, 0.0), 0.0),
+                                   (((1.0, 0.0),), (1.0, bad), 0.0),
+                                   (((1.0, 0.0),), (1.0, 0.0), bad)]:
+            with pytest.raises(ValueError, match="finite"):
+                BoundarySpec(alpha, (0.0,), beta, right)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-11, 1.0, 1e150])
+    def test_dependent_rows_rejected_at_every_scale(self, scale):
+        with pytest.raises(ValueError, match="dependent"):
+            BoundarySpec(
+                alpha=((scale, 3 * scale, 0.0), (3 * scale, 9 * scale, 0.0)),
+                left_values=(0.0, 0.0),
+                beta=(1.0, 0.0, 0.0),
+                right_value=0.0,
+            )
+
     def test_wrong_row_width_rejected(self):
         with pytest.raises(ValueError):
             BoundarySpec(

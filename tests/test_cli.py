@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,7 +229,56 @@ class TestVerify:
                      write_config(tmp_path, ivp_config())]) == 0
         assert "1.0e-02" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "0"])
+    def test_non_finite_or_non_positive_env_tolerance_exits_one(self, tmp_path, monkeypatch,
+                                                                capsys, value):
+        monkeypatch.setenv("NABLA_GREEN_TOL", value)
+        assert main(["verify", "--config", write_config(tmp_path, ivp_config())]) == 1
+        out = capsys.readouterr()
+        assert "check" not in out.out
+        assert "NABLA_GREEN_TOL" in out.err
+
     def test_bad_env_tolerance_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NABLA_GREEN_TOL", "not-a-number")
         assert main(["verify", "--config",
                      write_config(tmp_path, ivp_config())]) == 1
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize("overrides, field", [
+        ({"h": float("nan")}, "'h'"),
+        ({"h": {"values": [0.0] * 6 + [float("inf")], "start": 2}}, "'h.values'"),
+        ({"a": float("inf")}, "'a'"),
+        ({"nu": float("nan")}, "'nu'"),
+        ({"p": float("nan")}, "'p'"),
+        ({"p": True}, "'p'"),
+        ({"q": {"values": [0.0] * 5 + [False, 0.0], "start": 3}}, "'q.values'"),
+        ({"b_offset": True}, "'b_offset'"),
+        ({"problem": {"type": "ivp", "A": [0.0, float("nan"), 0.0]}}, "'problem.A'"),
+        ({"problem": {"type": "ivp", "A": [0.0, 0.0, 0.0],
+                      "ghost": {"mode": "explicit", "values": [float("inf")]}}},
+         "'problem.ghost.values'"),
+        ({"problem": {"type": "bvp", "alpha": [[1.0, 0.0, 0.0], [0.0, True, 0.0]],
+                      "A": [0.0, 0.0], "beta": [1.0, 0.0, 0.0], "B": 0.0}}, "'problem.alpha'"),
+        ({"problem": {"type": "bvp", "alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                      "A": [0.0, 0.0], "beta": [1.0, 0.0, 0.0], "B": float("nan")}},
+         "'problem.B'"),
+    ])
+    def test_non_finite_or_boolean_number_is_config_error(self, tmp_path, capsys,
+                                                          overrides, field):
+        # json.load reads NaN and Infinity, and isinstance(True, int) holds
+        path = write_config(tmp_path, ivp_config(**overrides))
+        assert main(["verify", "--config", path]) == 1
+        out = capsys.readouterr()
+        assert "check" not in out.out
+        assert f"config field {field}" in out.err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "nablafrac", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert "verify" in done.stdout

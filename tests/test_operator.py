@@ -15,6 +15,7 @@ from nablafrac import (
     leading_coefficient,
     taylor_monomial,
 )
+from nablafrac.operator import apply_array
 from conftest import random_operator
 
 
@@ -37,6 +38,13 @@ class TestFracOperator:
         p = GridFunction(Grid(0.0, 2, 6), (1.0, 1.0, 0.0, 1.0, 1.0))
         q = constant_grid_function(Grid(0.0, 3, 6), 0.0)
         with pytest.raises(ValueError):
+            FracOperator(0.0, 1.5, p, q)
+
+    def test_rejects_nan_p(self):
+        # NaN <= 0 is False, so only a test that p > 0 holds everywhere refuses it
+        p = GridFunction(Grid(0.0, 2, 6), (1.0, 1.0, float("nan"), 1.0, 1.0))
+        q = constant_grid_function(Grid(0.0, 3, 6), 0.0)
+        with pytest.raises(ValueError, match="positive"):
             FracOperator(0.0, 1.5, p, q)
 
     def test_rejects_mismatched_coefficient_grids(self):
@@ -124,6 +132,18 @@ class TestApply:
         shifted = np.multiply(op.q.values, x.values[n - x.grid.lo:b - x.grid.lo])
         want = np.diff(flux) + shifted
         assert np.array(apply(op, x).values).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
+    @pytest.mark.parametrize("b", [5, 17, 40])
+    def test_columns_bit_identical_to_one_dimensional_calls(self, nu, b):
+        # one column per function: the same bits as one 1-D call per column
+        rng = np.random.default_rng(b)
+        op = random_operator(rng, 0.0, nu, b)
+        x = np.concatenate((rng.uniform(-1, 1, (b + op.N, 6)), np.eye(b + op.N)), axis=1)
+        want = np.array([apply_array(op, np.ascontiguousarray(c)) for c in x.T]).T
+        got = apply_array(op, x)
+        assert got.shape == (b - op.N, x.shape[1])
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_same_bits_on_a_wider_grid(self, rng):
         # np.convolve's bits depend on its input length, so values above b must not reach it

@@ -1,4 +1,5 @@
 import logging
+import sys
 from math import comb
 
 import numpy as np
@@ -218,3 +219,31 @@ class TestEquationRowKernel:
         op = random_operator(rng, 0.0, 1.5, 30)
         assemble_ivp(op, zero_forcing(op), InitialConditions.zeros(op.N))
         assert sorted(calls) == list(range(31))
+
+
+class TestIndependence:
+    def test_assembly_uses_neither_kernel_weights_nor_apply_array(self, rng, monkeypatch):
+        cases = []
+        for nu in (0.6, 1.5, 2.5, 3.3):
+            op = random_operator(rng, 0.0, nu, 15)
+            spec = BoundarySpec(tuple(map(tuple, rng.uniform(-2, 2, (op.N, op.N + 1)))),
+                                tuple(rng.uniform(-1, 1, op.N)),
+                                tuple(rng.uniform(-2, 2, op.N + 1)), 0.5)
+            ic = InitialConditions(tuple(rng.uniform(-1, 1, op.N + 1)))
+            cases.append((op, random_forcing(rng, op), ic, spec))
+        def systems(op, h, ic, spec):
+            return (assemble_ivp(op, h, ic).matrix.tobytes(),
+                    assemble_bvp(op, h, spec, GhostClosure.zero()).matrix.tobytes())
+
+        want = [systems(*case) for case in cases]
+
+        def refuse(*args):
+            raise AssertionError("the oracle must not call the structured code")
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("nablafrac")]:
+            for name in ("kernel_weights", "apply_array"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(AssertionError):
+            probe_equation_rows(cases[0][0])
+        assert [systems(*case) for case in cases] == want
