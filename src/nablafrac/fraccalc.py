@@ -76,9 +76,8 @@ def frac_sum(f: np.ndarray, nu: float) -> np.ndarray:
     """
     m = len(f)
     w = kernel_weights(m, nu - 1.0)[1:]
-    if f.ndim == 1:
-        return np.convolve(w, f)[:m]
-    return np.stack([np.convolve(w, c)[:m] for c in f.T], axis=1)
+    cols = f.reshape(m, -1).T
+    return np.stack([np.convolve(w, c)[:m] for c in cols], axis=1).reshape(f.shape)
 
 
 def frac_integral(f: GridFunction, base: float, nu: float) -> GridFunction:

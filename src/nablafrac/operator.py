@@ -1,8 +1,8 @@
 """The fractional operator L x = nabla[p * caputo_nu x] + q * shift(x).
 
 ``FracOperator`` carries the base point a, the order nu (strictly
-between N-1 and N), the coefficient functions p > 0 on [a+N, b] and q on
-[a+N+1, b].  ``apply`` evaluates the operator as a residual on
+between N-1 and N), the finite coefficient functions p > 0 on [a+N, b]
+and q on [a+N+1, b].  ``apply`` evaluates the operator as a residual on
 [a+N+1, b]; the argument must carry the N-1 ghost points below a that
 the Caputo sum consumes (see :class:`GhostClosure`).
 """
@@ -78,8 +78,10 @@ class FracOperator:
             raise ValueError(
                 f"p must cover offsets [{n}, {b}] and q offsets [{n + 1}, {b}]"
             )
-        if not np.all(self.p.values > 0.0):
-            raise ValueError("p must be strictly positive")
+        if not np.all(np.isfinite(self.p.values) & (self.p.values > 0.0)):
+            raise ValueError("p must be finite and strictly positive")
+        if not np.all(np.isfinite(self.q.values)):
+            raise ValueError("q must be finite")
 
     @property
     def N(self) -> int:

@@ -53,7 +53,8 @@ def _system(op: FracOperator, h: GridFunction, rows: list, rhs: list) -> DenseSy
     Term s of the Caputo sum at tau puts (w H(tau-s+1)) (-1)^i C(N,i) on
     x(s-i).  Each (tau, i) is one slice update over s = 1..b for all rows,
     in the order tau = t, t-1 and i increasing; lags tau-s+1 <= 0 read
-    exact zeros, which leave sums that start from +0.0 unchanged.
+    exact zeros, and p is finite, so those terms are exact zeros too,
+    which leave sums that start from +0.0 unchanged.
     """
     n = op.N
     b = op.b_offset

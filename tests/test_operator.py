@@ -47,6 +47,20 @@ class TestFracOperator:
         with pytest.raises(ValueError, match="positive"):
             FracOperator(0.0, 1.5, p, q)
 
+    def test_rejects_infinite_p(self):
+        # inf > 0 holds, but inf * 0 is NaN in the oracle's zero-padded rows
+        p = GridFunction(Grid(0.0, 2, 6), (1.0, 1.0, float("inf"), 1.0, 1.0))
+        q = constant_grid_function(Grid(0.0, 3, 6), 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            FracOperator(0.0, 1.5, p, q)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_q(self, bad):
+        p = constant_grid_function(Grid(0.0, 2, 6), 1.0)
+        q = GridFunction(Grid(0.0, 3, 6), (0.0, bad, 0.0, 0.0))
+        with pytest.raises(ValueError, match="q must be finite"):
+            FracOperator(0.0, 1.5, p, q)
+
     def test_rejects_mismatched_coefficient_grids(self):
         p = constant_grid_function(Grid(0.0, 1, 6), 1.0)  # should start at 2
         q = constant_grid_function(Grid(0.0, 3, 6), 0.0)
