@@ -1,14 +1,16 @@
 """Command-line surface: JSON problem configs in, CSV tables out.
 
 Subcommands: ``monomial``, ``cauchy``, ``solve-ivp``, ``solve-bvp``,
-``greens``, ``verify``.  Exit codes: 0 success, 1 config validation
-failure, 2 singular/degenerate problem data, 10+k verification check k
-failed (checks are numbered in the printed report).
+``greens``, ``verify``.  Exit codes: 0 success, 1 an invalid config,
+argument or output path (every other ``ValueError`` the package raises
+for its input included), 2 singular/degenerate problem data, 10+k
+verification check k failed (checks are numbered in the printed report).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -19,6 +21,7 @@ from typing import Sequence
 
 from .bvp import BoundarySpec, boundary_rows, solve_bvp
 from .errors import DegenerateDenominatorError, NearSingularError, SingularSystemError
+from .fraccalc import FracOrder
 from .grid import Grid, GridFunction
 from .ivp import InitialConditions, cauchy_function, homogeneous_basis, solve_ivp
 from .greens import build_greens, compare_greens, conjugate_greens_closed_form, greens_solve
@@ -59,15 +62,20 @@ def _numbers(values, field: str) -> list:
     return values
 
 
+def _finite(field: str, v: float) -> float:
+    """v if it is finite, else a ConfigError naming field."""
+    if not _is_number(v):
+        raise ConfigError(field, f"must be finite, got {v}")
+    return v
+
+
 def _require(cfg: dict, field: str, types) -> object:
     if field not in cfg:
         raise ConfigError(field, "missing")
     v = cfg[field]
     if isinstance(v, bool) or not isinstance(v, types):
         raise ConfigError(field, f"expected {types}, got {type(v).__name__}")
-    if isinstance(v, (int, float)) and not _is_number(v):
-        raise ConfigError(field, f"must be finite, got {v}")
-    return v
+    return _finite(field, v) if isinstance(v, (int, float)) else v
 
 
 def _coefficient(cfg: dict, field: str, a: float, lo: int, hi: int) -> GridFunction:
@@ -102,9 +110,10 @@ def build_operator(cfg: dict) -> FracOperator:
     a = float(_require(cfg, "a", (int, float)))
     b_off = _require(cfg, "b_offset", int)
     nu = float(_require(cfg, "nu", (int, float)))
-    n = math.ceil(nu)
-    if float(nu).is_integer() or nu <= 0:
-        raise ConfigError("nu", f"must be positive and non-integer, got {nu}")
+    try:
+        n = FracOrder.fractional(nu).N
+    except ValueError as exc:
+        raise ConfigError("nu", str(exc))
     if b_off < n + 1:
         raise ConfigError("b_offset", f"must be at least N+1 = {n + 1}")
     p = _coefficient(cfg, "p", a, n, b_off)
@@ -170,14 +179,14 @@ def _problem(cfg: dict, expected: str) -> dict:
 
 
 def _write_csv(out: str | None, header: Sequence[str], rows) -> None:
-    fh = open(out, "w", newline="") if out else sys.stdout
     try:
-        writer = csv.writer(fh)
+        fh = open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ConfigError("--out", str(exc))
+    with fh as stream:
+        writer = csv.writer(stream)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if out:
-            fh.close()
 
 
 def _solution_rows(x: GridFunction):
@@ -187,6 +196,8 @@ def _solution_rows(x: GridFunction):
 
 
 def cmd_monomial(args) -> int:
+    _finite("--nu", args.nu)
+    _finite("--a", args.a)
     rows = (
         (k, _fmt(args.a + k), _fmt(taylor_monomial(k, args.nu)))
         for k in range(args.lo, args.hi + 1)
@@ -243,13 +254,12 @@ def _greens_from_args(args):
         return build_greens(op, BoundarySpec.conjugate(), homogeneous_basis(op))
     if not args.conjugate:
         raise ConfigError("<args>", "greens needs --config or --conjugate with a=, b=, nu=")
+    names = ("a", "b", "nu")
     try:
-        a = float(params["a"])
-        b = float(params["b"])
-        nu = float(params["nu"])
+        values = [float(params[k]) for k in names]
     except (KeyError, ValueError):
         raise ConfigError("<args>", "--conjugate needs a=<real> b=<real> nu=<real>")
-    return conjugate_greens_closed_form(a, b, nu)
+    return conjugate_greens_closed_form(*map(_finite, names, values))
 
 
 def cmd_greens(args) -> int:
@@ -400,12 +410,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (NearSingularError, DegenerateDenominatorError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # ConfigError, and the package's own input checks
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

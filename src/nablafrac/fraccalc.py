@@ -5,6 +5,9 @@ tabulated on exactly the offsets where its defining formula makes sense;
 there is no silent zero-padding.  Every fractional sum, and through it
 every Riemann-Liouville and Caputo difference, is one ``np.convolve``
 with the kernel weights of :func:`~nablafrac.monomial.kernel_weights`.
+:class:`FracOrder` is the one place that checks an order ``nu`` (finite
+and above 0) and maps it to ``N = ceil(nu)``; base points go through
+:func:`~nablafrac.grid.point_offset`.
 """
 
 from __future__ import annotations
@@ -14,26 +17,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _POINT_TOL, Grid, GridFunction
+from .errors import OffGridError
+from .grid import Grid, GridFunction, point_offset
 from .monomial import kernel_weights
 
 
 @dataclass(frozen=True)
 class FracOrder:
-    """A fractional order ``nu > 0`` together with ``N = ceil(nu)``."""
+    """An order ``nu``, finite and above 0, together with ``N = ceil(nu)``."""
 
     nu: float
     N: int
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError(f"order must be positive, got {self.nu}")
+        if not (math.isfinite(self.nu) and self.nu > 0):
+            raise ValueError(f"order nu must be finite and positive, got {self.nu}")
         if self.N != math.ceil(self.nu):
             raise ValueError(f"N={self.N} is not ceil({self.nu})")
 
     @classmethod
     def from_nu(cls, nu: float) -> "FracOrder":
-        return cls(float(nu), math.ceil(nu))
+        nu = float(nu)
+        # ceil(inf) overflows; N = 0 lets __post_init__ reject the order instead
+        return cls(nu, math.ceil(nu) if math.isfinite(nu) else 0)
+
+    @classmethod
+    def fractional(cls, nu: float) -> "FracOrder":
+        """:meth:`from_nu` for an order strictly between N-1 and N."""
+        order = cls.from_nu(nu)
+        if order.is_whole:
+            raise ValueError(f"order nu must not be a whole number, got {nu}")
+        return order
 
     @property
     def is_whole(self) -> bool:
@@ -59,16 +73,6 @@ def nabla_n(f: GridFunction, n: int) -> GridFunction:
     return f
 
 
-def _base_offset(f: GridFunction, base: float) -> int:
-    """Offset of the base point, which may sit one step below f's grid."""
-    k = round(base - f.grid.base)
-    if abs((base - f.grid.base) - k) > _POINT_TOL:
-        raise ValueError(f"base {base} is not a unit-step point of f's grid")
-    if not f.grid.lo - 1 <= k <= f.grid.hi:
-        raise ValueError(f"base offset {k} outside [{f.grid.lo - 1}, {f.grid.hi}]")
-    return k
-
-
 def frac_sum(f: np.ndarray, nu: float) -> np.ndarray:
     """Order-``nu`` sum of f = f(base+1..base+m), at base+1..base+m (see frac_integral).
 
@@ -87,9 +91,10 @@ def frac_integral(f: GridFunction, base: float, nu: float) -> GridFunction:
     at base+m it is sum_{s=1..m} H_{nu-1}(m-s+1) * f(base+s).  f must be
     defined on (base, hi].
     """
-    if not nu > 0:
-        raise ValueError(f"integral order must be positive, got {nu}")
-    b = _base_offset(f, base)
+    FracOrder.from_nu(nu)
+    b = point_offset(base, f.grid.base)  # the base may sit one step below f's grid
+    if not f.grid.lo - 1 <= b <= f.grid.hi:
+        raise OffGridError(f"base offset {b} outside [{f.grid.lo - 1}, {f.grid.hi}]")
     hi = f.grid.hi
     vals = np.zeros(hi - b + 1)
     if hi > b:  # np.convolve rejects the empty sum at a base on f's last point
@@ -106,9 +111,7 @@ def rl_difference(f: GridFunction, base: float, nu: float, extend: bool = False)
     nabla integral is 0 whenever its upper limit is <= its lower limit),
     which extends the result down to [base, hi] with value 0 at the base.
     """
-    if not nu > 0 or float(nu).is_integer():
-        raise ValueError(f"RL order must be positive and non-integer, got {nu}")
-    n = math.ceil(nu)
+    n = FracOrder.fractional(nu).N
     g = frac_integral(f, base, n - nu)
     if extend:
         g = GridFunction(Grid(g.grid.base, g.grid.lo - n, g.grid.hi),
@@ -122,10 +125,8 @@ def caputo_difference(f: GridFunction, base: float, nu: float) -> GridFunction:
     f must carry the N-1 ghost points below the base, i.e. be defined on
     [base-N+1, hi].  The result lives on [base, hi] and is 0 at the base.
     """
-    n = math.ceil(nu)
-    if float(nu).is_integer() or not n - 1 < nu < n:
-        raise ValueError(f"Caputo order must be strictly between N-1 and N, got {nu}")
-    b = round(base - f.grid.base)
+    n = FracOrder.fractional(nu).N
+    b = point_offset(base, f.grid.base)
     if f.grid.lo > b - n + 1:
         raise ValueError(
             f"f must be defined down to base-N+1 (offset {b - n + 1}), "

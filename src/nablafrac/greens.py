@@ -18,8 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .bvp import BoundarySpec, _span_solve, boundary_rows
-from .errors import DegenerateDenominatorError
-from .grid import _POINT_TOL, Grid, GridFunction
+from .errors import DegenerateDenominatorError, OffGridError
+from .fraccalc import FracOrder
+from .grid import Grid, GridFunction, point_offset
 from .ivp import cauchy_function
 from .monomial import kernel_weights
 from .operator import FracOperator
@@ -109,11 +110,12 @@ def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunctio
     u(t,s) = -H_nu(b, rho(s)) (t - a - H_nu(t,a)) / (b - a - H_nu(b,a)),
     v(t,s) = u(t,s) + H_nu(t, rho(s)).
     """
-    if float(nu).is_integer() or not 1.0 < nu < 2.0:
+    if FracOrder.fractional(nu).N != 2:
         raise ValueError(f"conjugate closed form needs nu in (1, 2), got {nu}")
-    b_off = round(b - a)
-    if abs((b - a) - b_off) > _POINT_TOL:
-        raise ValueError(f"b - a = {b - a} is not an integer")
+    try:
+        b_off = point_offset(b, a)
+    except OffGridError:
+        raise OffGridError(f"b - a = {b - a} is not a whole number") from None
     if b_off < 3:
         raise ValueError(f"b - a must be at least 3, got {b_off}")
     n = 2

@@ -3,13 +3,17 @@
 A grid is anchored at a real base point ``a`` and consists of the points
 ``a + k`` for integer offsets ``k`` in ``[lo, hi]``.  All position
 arithmetic is done on the integer offsets, so membership tests never
-suffer floating-point drift.  Function values are one read-only float64
-array; :meth:`GridFunction.values_on` is the one place that turns a base
-and an offset range into a slice of it.
+suffer floating-point drift.  :func:`point_offset` is the package's one
+rule from a real point to an offset, base equality included: it accepts
+a point within ``_POINT_TOL`` of a grid point and raises
+:class:`OffGridError` for any other, a non-finite one too.  Function
+values are one read-only float64 array; :meth:`GridFunction.values_on`
+is the one place that turns a base and an offset range into a slice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +25,14 @@ from .errors import OffGridError
 _POINT_TOL = 1e-9
 
 
+def point_offset(t: float, base: float) -> int:
+    """The whole number ``k`` with ``t == base + k`` to within ``_POINT_TOL``."""
+    d = t - base
+    if not (math.isfinite(d) and abs(d - round(d)) <= _POINT_TOL):
+        raise OffGridError(f"{t} is not a unit-step point of a grid based at {base}")
+    return round(d)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Points ``base + k`` for ``k`` in ``[lo, hi]`` with unit step."""
@@ -30,6 +42,8 @@ class Grid:
     hi: int
 
     def __post_init__(self):
+        if not math.isfinite(self.base):
+            raise ValueError(f"grid base must be finite, got {self.base}")
         if self.lo > self.hi:
             raise ValueError(f"empty grid: lo={self.lo} > hi={self.hi}")
 
@@ -41,15 +55,18 @@ class Grid:
 
     def offset_of(self, t: float) -> int:
         """Integer offset of the point ``t``; raises if ``t`` is off-grid."""
-        k = round(t - self.base)
-        if abs((t - self.base) - k) > _POINT_TOL:
-            raise OffGridError(f"{t} is not a unit-step point of grid based at {self.base}")
+        k = point_offset(t, self.base)
         if not self.lo <= k <= self.hi:
             raise OffGridError(f"{t} (offset {k}) outside grid offsets [{self.lo}, {self.hi}]")
         return k
 
     def contains_offset(self, k: int) -> bool:
         return self.lo <= k <= self.hi
+
+    def require_base(self, base: float) -> None:
+        """Raise :class:`OffGridError` unless this grid is based at the point ``base``."""
+        if point_offset(base, self.base) != 0:
+            raise OffGridError(f"grid is based at {self.base}, not {base}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +103,10 @@ class GridFunction:
         """The read-only values at offsets ``[lo, hi]`` of a grid based at ``base``.
 
         Raises :class:`OffGridError` unless this function is tabulated on
-        a grid based at ``base`` (within ``_POINT_TOL``) that covers them.
+        a grid based at ``base`` that covers them.
         """
         g = self.grid
-        if abs(g.base - base) > _POINT_TOL:
-            raise OffGridError(f"function is tabulated on a grid based at {g.base}, not {base}")
+        g.require_base(base)
         if lo < g.lo or hi > g.hi:
             raise OffGridError(f"offsets [{lo}, {hi}] not covered by [{g.lo}, {g.hi}]")
         return self.values[lo - g.lo:hi + 1 - g.lo]

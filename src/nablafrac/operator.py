@@ -1,21 +1,21 @@
 """The fractional operator L x = nabla[p * caputo_nu x] + q * shift(x).
 
 ``FracOperator`` carries the base point a, the order nu (strictly
-between N-1 and N), the finite coefficient functions p > 0 on [a+N, b]
-and q on [a+N+1, b].  ``apply`` evaluates the operator as a residual on
+between N-1 and N; its :class:`~nablafrac.fraccalc.FracOrder` is made
+once, at construction), the finite coefficient functions p > 0 on
+[a+N, b] and q on [a+N+1, b].  ``apply`` evaluates the operator as a residual on
 [a+N+1, b]; the argument must carry the N-1 ghost points below a that
 the Caputo sum consumes (see :class:`GhostClosure`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fraccalc import frac_sum
-from .grid import _POINT_TOL, Grid, GridFunction, constant_grid_function
+from .fraccalc import FracOrder, frac_sum
+from .grid import Grid, GridFunction, constant_grid_function
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,13 @@ class FracOperator:
     nu: float
     p: GridFunction
     q: GridFunction
+    order: FracOrder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = math.ceil(self.nu)
-        if float(self.nu).is_integer() or not n - 1 < self.nu < n:
-            raise ValueError(f"nu must lie strictly between N-1 and N, got {self.nu}")
-        if (abs(self.p.grid.base - self.a) > _POINT_TOL
-                or abs(self.q.grid.base - self.a) > _POINT_TOL):
-            raise ValueError("p and q must be tabulated on grids based at a")
+        object.__setattr__(self, "order", FracOrder.fractional(self.nu))
+        n = self.order.N
+        self.p.grid.require_base(self.a)
+        self.q.grid.require_base(self.a)
         b = self.p.grid.hi
         if b < n + 1:
             raise ValueError(f"b - a = {b} must be at least N + 1 = {n + 1}")
@@ -85,7 +84,7 @@ class FracOperator:
 
     @property
     def N(self) -> int:
-        return math.ceil(self.nu)
+        return self.order.N
 
     @property
     def b_offset(self) -> int:
@@ -99,7 +98,7 @@ class FracOperator:
     def constant(cls, a: float, nu: float, b_offset: int,
                  p: float = 1.0, q: float = 0.0) -> "FracOperator":
         """Operator with constant coefficients on [a, a + b_offset]."""
-        n = math.ceil(nu)
+        n = FracOrder.from_nu(nu).N
         return cls(
             a, nu,
             constant_grid_function(Grid(a, n, b_offset), p),
@@ -115,8 +114,9 @@ def extend_with_closure(op: FracOperator, x: GridFunction,
                         closure: GhostClosure) -> GridFunction:
     """Prepend the N-1 ghost values of ``closure`` to x on [a, b]."""
     n = op.N
-    if x.grid.lo != 0 or abs(x.grid.base - op.a) > _POINT_TOL:
-        raise ValueError("x must be tabulated on [a, ...] based at a")
+    x.grid.require_base(op.a)
+    if x.grid.lo != 0:
+        raise ValueError("x must be tabulated on [a, ...]")
     ghosts = closure.ghost_values(n - 1)[::-1]
     return GridFunction(Grid(op.a, -(n - 1), x.grid.hi), np.concatenate((ghosts, x.values)))
 
@@ -149,7 +149,4 @@ def apply(op: FracOperator, x: GridFunction) -> GridFunction:
 
 def leading_coefficient(op: FracOperator, t: float) -> float:
     """Coefficient of x(t) in (L x)(t): just p(t), the recursion pivot."""
-    k = round(t - op.a)
-    if not op.N + 1 <= k <= op.b_offset:
-        raise ValueError(f"t offset {k} outside [{op.N + 1}, {op.b_offset}]")
-    return op.p.at(k)
+    return op.p.at(op.q.grid.offset_of(t))  # q's grid is the rows [a+N+1, b]

@@ -274,6 +274,33 @@ class TestConfigNumbers:
         assert f"config field {field}" in out.err
 
 
+GREENS_NU_2_5 = {"a": 0.0, "b_offset": 8, "nu": 2.5, "p": 1.0, "q": 0.0, "h": 1.0,
+                 "problem": {"type": "greens", "conjugate": True}}
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    pytest.param(["greens", "--conjugate", "a=0", "b=4.5", "nu=1.5"], 1, "b - a", id="b-off-grid"),
+    pytest.param(["greens", "--conjugate", "a=0", "b=2", "nu=1.5"], 1, "b - a", id="b-too-short"),
+    pytest.param(["greens", "--conjugate", "a=0", "b=4", "nu=2.5"], 1, "nu", id="nu-2.5"),
+    pytest.param(["greens", "--conjugate", "a=0", "b=4", "nu=nan"], 1, "'nu'", id="nu-nan"),
+    pytest.param(["greens", "--conjugate", "a=nan", "b=4", "nu=1.5"], 1, "'a'", id="a-nan"),
+    pytest.param(["greens", "--conjugate", "a=0", "b=inf", "nu=1.5"], 1, "'b'", id="b-inf"),
+    pytest.param(["greens", "--config", "{greens_nu_2_5}"], 1, "nu", id="config-nu-2.5"),
+    pytest.param(["monomial", "--nu", "nan"], 1, "'--nu'", id="monomial-nu-nan"),
+    pytest.param(["monomial", "--nu", "1.5", "--a", "inf"], 1, "'--a'", id="monomial-a-inf"),
+    pytest.param(["monomial", "--nu", "1.5", "--out", "{missing}"], 1, "{missing}",
+                 id="out-unwritable"),
+    pytest.param(["greens", "--conjugate", "a=0", "b=3", "nu=1.0000000000001"], 2, "vanishes",
+                 id="degenerate-exits-two"),
+])
+def test_cli_returns_its_documented_code_and_never_raises(tmp_path, capsys, argv, code, named):
+    paths = {"greens_nu_2_5": write_config(tmp_path, GREENS_NU_2_5),
+             "missing": str(tmp_path / "missing" / "x.csv")}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named.format(**paths) in err
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from nablafrac import (
+    FracOperator,
     FracOrder,
     Grid,
     GridFunction,
     caputo_difference,
+    conjugate_greens_closed_form,
     constant_grid_function,
     frac_integral,
     make_grid_function,
@@ -40,6 +42,35 @@ class TestFracOrder:
     def test_rejects_wrong_ceiling(self):
         with pytest.raises(ValueError):
             FracOrder(1.5, 3)
+
+    def test_fractional_rejects_a_whole_order(self):
+        assert FracOrder.fractional(2.5).N == 3
+        with pytest.raises(ValueError, match="whole"):
+            FracOrder.fractional(2.0)
+
+
+# The one order rule, through every function that takes an order.
+_F = GridFunction(Grid(0.0, -3, 8), tuple(float(k * k) for k in range(-3, 9)))
+ORDER_CALLS = {
+    "FracOrder.from_nu": FracOrder.from_nu,
+    "FracOperator.constant": lambda nu: FracOperator.constant(0.0, nu, 8),
+    "frac_integral": lambda nu: frac_integral(_F, 0.0, nu),
+    "rl_difference": lambda nu: rl_difference(_F, 0.0, nu),
+    "caputo_difference": lambda nu: caputo_difference(_F, 0.0, nu),
+    "conjugate_greens_closed_form": lambda nu: conjugate_greens_closed_form(0.0, 10.0, nu),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_CALLS)
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_order_rule_rejects_with_value_error(name, nu):
+    with pytest.raises(ValueError):  # an OverflowError is not a ValueError
+        ORDER_CALLS[name](nu)
+
+
+@pytest.mark.parametrize("name", ORDER_CALLS)
+def test_order_rule_accepts_a_fractional_order(name):
+    ORDER_CALLS[name](1.5)
 
 
 class TestWholeOrder:

@@ -3,11 +3,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nablafrac import (
+    FracOperator,
     Grid,
     GridFunction,
     OffGridError,
+    caputo_difference,
+    conjugate_greens_closed_form,
+    frac_integral,
+    leading_coefficient,
     make_grid_function,
     nabla_integral,
+    rl_difference,
 )
 
 
@@ -134,3 +140,42 @@ def test_nabla_integral_linear_in_f(vals, c):
     assert nabla_integral(scaled, lo, hi) == pytest.approx(
         c * nabla_integral(f, lo, hi), abs=1e-9
     )
+
+
+# The one point rule, through every function that takes a point: (call, a grid point).
+_F = GridFunction(Grid(0.0, -1, 8), np.arange(10.0) ** 2)
+_OP = FracOperator.constant(0.0, 1.5, 8)
+POINT_CALLS = {
+    "Grid.offset_of": (_F.grid.offset_of, 3.0),
+    "GridFunction.__call__": (_F, 3.0),
+    "frac_integral base": (lambda t: frac_integral(_F, t, 0.5).values, 2.0),
+    "rl_difference base": (lambda t: rl_difference(_F, t, 1.5).values, 0.0),
+    "caputo_difference base": (lambda t: caputo_difference(_F, t, 1.5).values, 0.0),
+    "nabla_integral lower end": (lambda t: nabla_integral(_F, t, 8.0), 2.0),
+    "nabla_integral upper end": (lambda t: nabla_integral(_F, 0.0, t), 6.0),
+    "leading_coefficient": (lambda t: leading_coefficient(_OP, t), 5.0),
+    "conjugate closed form a": (lambda t: conjugate_greens_closed_form(t, 10.0, 1.5).G, 0.0),
+    "conjugate closed form b": (lambda t: conjugate_greens_closed_form(0.0, t, 1.5).G, 10.0),
+}
+
+
+@pytest.mark.parametrize("name", POINT_CALLS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "+0.5", "+0.4"])
+def test_point_rule_rejects_non_finite_and_off_grid_points(name, bad):
+    call, t = POINT_CALLS[name]
+    point = t + float(bad[1:]) if isinstance(bad, str) else bad
+    with pytest.raises(OffGridError):
+        call(point)
+
+
+@pytest.mark.parametrize("name", POINT_CALLS)
+def test_point_rule_accepts_a_point_within_tolerance(name):
+    call, t = POINT_CALLS[name]
+    want = np.asarray(call(t))
+    assert np.asarray(call(t + 1e-12)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("base", [np.nan, np.inf, -np.inf])
+def test_grid_rejects_a_non_finite_base(base):
+    with pytest.raises(ValueError):
+        Grid(base, 0, 3)
