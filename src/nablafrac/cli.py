@@ -35,9 +35,18 @@ DEFAULT_TOL = 1e-8
 
 
 class ConfigError(ValueError):
+    """An invalid config field, named in the message."""
+
+    kind = "config field"
+
     def __init__(self, field: str, message: str):
-        super().__init__(f"config field '{field}': {message}")
-        self.field = field
+        super().__init__(f"{self.kind} '{field}': {message}")
+
+
+class ArgumentError(ConfigError):
+    """An invalid command-line argument, named in the message."""
+
+    kind = "argument"
 
 
 def _fmt(v: float) -> str:
@@ -62,10 +71,10 @@ def _numbers(values, field: str) -> list:
     return values
 
 
-def _finite(field: str, v: float) -> float:
-    """v if it is finite, else a ConfigError naming field."""
+def _finite(name: str, v: float) -> float:
+    """v if it is finite, else an ArgumentError naming the argument."""
     if not _is_number(v):
-        raise ConfigError(field, f"must be finite, got {v}")
+        raise ArgumentError(name, f"must be finite, got {v}")
     return v
 
 
@@ -75,7 +84,9 @@ def _require(cfg: dict, field: str, types) -> object:
     v = cfg[field]
     if isinstance(v, bool) or not isinstance(v, types):
         raise ConfigError(field, f"expected {types}, got {type(v).__name__}")
-    return _finite(field, v) if isinstance(v, (int, float)) else v
+    if isinstance(v, (int, float)) and not _is_number(v):
+        raise ConfigError(field, f"must be finite, got {v}")
+    return v
 
 
 def _coefficient(cfg: dict, field: str, a: float, lo: int, hi: int) -> GridFunction:
@@ -98,7 +109,7 @@ def load_config(path: str) -> dict:
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise ConfigError("<file>", str(exc))
+        raise ArgumentError("--config", str(exc))
     except json.JSONDecodeError as exc:
         raise ConfigError("<json>", f"line {exc.lineno}: {exc.msg}")
     if not isinstance(cfg, dict):
@@ -117,8 +128,6 @@ def build_operator(cfg: dict) -> FracOperator:
     if b_off < n + 1:
         raise ConfigError("b_offset", f"must be at least N+1 = {n + 1}")
     p = _coefficient(cfg, "p", a, n, b_off)
-    if not np.all(p.values > 0):
-        raise ConfigError("p", "must be strictly positive")
     q = _coefficient(cfg, "q", a, n + 1, b_off)
     return FracOperator(a, nu, p, q)
 
@@ -182,7 +191,7 @@ def _write_csv(out: str | None, header: Sequence[str], rows) -> None:
     try:
         fh = open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
-        raise ConfigError("--out", str(exc))
+        raise ArgumentError("--out", str(exc))
     with fh as stream:
         writer = csv.writer(stream)
         writer.writerow(header)
@@ -239,6 +248,11 @@ def cmd_solve_bvp(args) -> int:
     return 0
 
 
+def _greens_basis(op: FracOperator):
+    """The basis a greens config builds G over: analytic when p == 1 and q == 0."""
+    return homogeneous_basis(op, analytic=op.is_basic())
+
+
 def _greens_from_args(args):
     params = dict(kv.split("=", 1) for kv in args.params if "=" in kv)
     if args.config:
@@ -251,14 +265,14 @@ def _greens_from_args(args):
             return conjugate_greens_closed_form(op.a, op.b, op.nu)
         if op.N != 2:
             raise ConfigError("problem", "generic greens output needs N == 2 conjugate spec")
-        return build_greens(op, BoundarySpec.conjugate(), homogeneous_basis(op))
+        return build_greens(op, BoundarySpec.conjugate(), _greens_basis(op))
     if not args.conjugate:
-        raise ConfigError("<args>", "greens needs --config or --conjugate with a=, b=, nu=")
+        raise ArgumentError("--conjugate", "greens needs it with a=, b=, nu=, or --config")
     names = ("a", "b", "nu")
     try:
         values = [float(params[k]) for k in names]
     except (KeyError, ValueError):
-        raise ConfigError("<args>", "--conjugate needs a=<real> b=<real> nu=<real>")
+        raise ArgumentError("--conjugate", "needs a=<real> b=<real> nu=<real>")
     return conjugate_greens_closed_form(*map(_finite, names, values))
 
 
@@ -316,7 +330,7 @@ def _verify_checks(cfg: dict):
         yield "bvp-oracle-agreement", _max_gap(x, dense_solve(dense_sys)), None
     else:
         spec = BoundarySpec.conjugate()
-        basis = homogeneous_basis(op, analytic=True)
+        basis = _greens_basis(op)
         built = build_greens(op, spec, basis)
         closed = conjugate_greens_closed_form(op.a, op.b, op.nu)
         yield "greens-closed-form-agreement", compare_greens(built, closed), 1e-10

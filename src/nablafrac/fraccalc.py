@@ -37,7 +37,10 @@ class FracOrder:
 
     @classmethod
     def from_nu(cls, nu: float) -> "FracOrder":
-        nu = float(nu)
+        try:
+            nu = float(nu)
+        except OverflowError:  # an int too large for a float
+            nu = math.inf
         # ceil(inf) overflows; N = 0 lets __post_init__ reject the order instead
         return cls(nu, math.ceil(nu) if math.isfinite(nu) else 0)
 

@@ -1,13 +1,15 @@
 """Green's functions: generic construction from a basis, the closed-form
 (2,1) conjugate kernel, and the resulting zero-data BVP solver.
 
-G(t,s) is assembled piecewise from u (below the diagonal band) and
-v = u + Cauchy column (on and above it).  Cells outside the stated
-piecewise regions carry the u-branch value and are flagged ``u*``;
-comparisons quantify only over the stated region.  The t range is
-extended down to a-N+1 so that operator residual checks are possible.
-The generic builder shares the D solve of :mod:`nablafrac.bvp` and takes r(s)
-from the last row of :func:`~nablafrac.bvp.boundary_rows`.
+G(t,s) is stated piecewise: u for s > t and v = u + x(t, s) for
+s <= t + 1, with x the Cauchy function.  x(t, s) is 0 for t < s, so v
+equals u on every cell where u is stated, and G is v on every cell.
+``branch`` names the stated piece of each cell and flags the cells
+outside both regions ``u*``; comparisons quantify only over the stated
+region.  The t range is extended down to a-N+1 so that operator residual
+checks are possible.  The generic builder shares the D solve of
+:mod:`nablafrac.bvp` and takes r(s) from the last row of
+:func:`~nablafrac.bvp.boundary_rows`.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ _DEGENERATE_TOL = 1e-12
 class GreensFunction:
     """Piecewise kernel on t in [a-N+1, b] x s in [a+N+1, b].
 
-    ``u``, ``v`` and ``G`` are (t, s)-indexed arrays; ``branch`` holds
-    'u' / 'v' on the stated regions and 'u*' on flagged cells.
+    ``u`` and ``v`` are (t, s)-indexed arrays; ``branch`` holds 'u' / 'v'
+    on the stated regions and 'u*' on flagged cells.
     """
 
     a: float
@@ -42,8 +44,12 @@ class GreensFunction:
     b_offset: int
     u: np.ndarray
     v: np.ndarray
-    G: np.ndarray
     branch: np.ndarray
+
+    @property
+    def G(self) -> np.ndarray:
+        """G itself: v, since the Cauchy column x(t, s) is 0 for t < s, where v = u."""
+        return self.v
 
     @property
     def t_lo(self) -> int:
@@ -78,12 +84,6 @@ def _branch_table(n: int, b: int) -> np.ndarray:
     return np.where(in_v, "v", np.where(in_u, "u", "u*"))
 
 
-def _assemble(a, nu, n, b, u, v, branch) -> GreensFunction:
-    # u-branch value everywhere except the stated v region
-    g = np.where(branch == "v", v, u)
-    return GreensFunction(a, nu, n, b, u, v, g, branch)
-
-
 def build_greens(op: FracOperator, spec: BoundarySpec,
                  basis: Sequence[GridFunction]) -> GreensFunction:
     """Construct G for the homogeneous part of ``spec`` over ``basis``.
@@ -100,7 +100,7 @@ def build_greens(op: FracOperator, spec: BoundarySpec,
     cf = cauchy_function(op)
     r = boundary_rows(spec, b)[n] @ cf.values
     u = -np.outer(combo, r)
-    return _assemble(op.a, op.nu, n, b, u, u + cf.values, _branch_table(n, b))
+    return GreensFunction(op.a, op.nu, n, b, u, u + cf.values, _branch_table(n, b))
 
 
 def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunction:
@@ -115,7 +115,7 @@ def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunctio
     try:
         b_off = point_offset(b, a)
     except OffGridError:
-        raise OffGridError(f"b - a = {b - a} is not a whole number") from None
+        raise OffGridError(f"b - a is not a whole number for a = {a}, b = {b}") from None
     if b_off < 3:
         raise ValueError(f"b - a must be at least 3, got {b_off}")
     n = 2
@@ -131,7 +131,7 @@ def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunctio
         )
     t, s = _grid_offsets(n, b_off)
     u = -mono(b_off - s + 1) * ((t - mono(t)) / denom)
-    return _assemble(a, nu, n, b_off, u, u + mono(t - s + 1), _branch_table(n, b_off))
+    return GreensFunction(a, nu, n, b_off, u, u + mono(t - s + 1), _branch_table(n, b_off))
 
 
 def greens_solve(g: GreensFunction, h: GridFunction) -> GridFunction:

@@ -27,8 +27,12 @@ _POINT_TOL = 1e-9
 
 def point_offset(t: float, base: float) -> int:
     """The whole number ``k`` with ``t == base + k`` to within ``_POINT_TOL``."""
-    d = t - base
-    if not (math.isfinite(d) and abs(d - round(d)) <= _POINT_TOL):
+    try:
+        d = t - base
+        on_grid = math.isfinite(d) and abs(d - round(d)) <= _POINT_TOL
+    except OverflowError:  # an int too large for a float
+        on_grid = False
+    if not on_grid:
         raise OffGridError(f"{t} is not a unit-step point of a grid based at {base}")
     return round(d)
 

@@ -38,12 +38,6 @@ class InitialConditions:
         """All-zero conditions for an operator of ceiling order n."""
         return cls((0.0,) * (n + 1))
 
-    @classmethod
-    def unit(cls, n: int, i: int) -> "InitialConditions":
-        vals = [0.0] * (n + 1)
-        vals[i] = 1.0
-        return cls(vals)
-
 
 def ic_to_values(ic: InitialConditions) -> tuple[float, ...]:
     """Unfold nabla^i x(a+i) = A_i into the point values x(a), ..., x(a+N).
@@ -68,8 +62,6 @@ def _nabla_pow(xs: list[float], lo: int, n: int, t: int) -> float:
 
 
 def _caputo_at(xs: list[float], lo: int, base: int, nu: float, n: int, t: int) -> float:
-    if t <= base:
-        return 0.0
     acc = 0.0
     for s in range(base + 1, t + 1):
         acc += taylor_monomial(t - s + 1, n - nu - 1.0) * _nabla_pow(xs, lo, n, s)
@@ -178,8 +170,7 @@ def cauchy_function(op: FracOperator) -> CauchyFunction:
     return CauchyFunction(op.a, op.nu, n, b, values)
 
 
-def variation_of_constants(op: FracOperator, h: GridFunction,
-                           cauchy: CauchyFunction | None = None) -> GridFunction:
+def variation_of_constants(op: FracOperator, h: GridFunction) -> GridFunction:
     """Particular solution x(t) = sum_{s=a+N+1}^{t} x(t,s) h(s).
 
     Solves L x = h with all N+1 initial conditions zero; the result is 0
@@ -187,9 +178,7 @@ def variation_of_constants(op: FracOperator, h: GridFunction,
     for s > t, so the sum is one matrix-vector product.
     """
     hv = h.values_on(op.a, op.N + 1, op.b_offset)
-    if cauchy is None:
-        cauchy = cauchy_function(op)
-    return GridFunction(Grid(op.a, -(op.N - 1), op.b_offset), cauchy.values @ hv)
+    return GridFunction(Grid(op.a, -(op.N - 1), op.b_offset), cauchy_function(op).values @ hv)
 
 
 def homogeneous_basis(op: FracOperator, analytic: bool = False) -> tuple[GridFunction, ...]:
@@ -213,5 +202,5 @@ def homogeneous_basis(op: FracOperator, analytic: bool = False) -> tuple[GridFun
         )
     h0 = zero_forcing(op)
     return tuple(
-        solve_ivp(op, h0, InitialConditions.unit(n, i)) for i in range(n + 1)
+        solve_ivp(op, h0, InitialConditions(np.eye(n + 1)[i])) for i in range(n + 1)
     )

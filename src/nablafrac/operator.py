@@ -22,31 +22,27 @@ from .grid import Grid, GridFunction, constant_grid_function
 class GhostClosure:
     """How to fill the N-1 grid points below the base.
 
-    ``explicit`` supplies values for x(a-1), ..., x(a-N+1) in that order;
-    ``zero`` pins them to 0.
+    ``values`` holds x(a-1), ..., x(a-N+1) in that order; ``None`` pins
+    them to 0.
     """
 
-    mode: str
-    values: tuple[float, ...] = field(default=())
+    values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.mode not in ("zero", "explicit"):
-            raise ValueError(f"unknown closure mode {self.mode!r}")
-        if self.mode != "explicit" and self.values:
-            raise ValueError(f"{self.mode} closure takes no values")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if self.values is not None:
+            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
     @classmethod
     def zero(cls) -> "GhostClosure":
-        return cls("zero")
+        return cls()
 
     @classmethod
     def explicit(cls, *values: float) -> "GhostClosure":
-        return cls("explicit", values)
+        return cls(values)
 
     def ghost_values(self, n_ghosts: int) -> tuple[float, ...]:
         """Values for x(a-1), ..., x(a-n_ghosts)."""
-        if self.mode == "zero":
+        if self.values is None:
             return (0.0,) * n_ghosts
         if len(self.values) != n_ghosts:
             raise ValueError(
@@ -71,8 +67,6 @@ class FracOperator:
         self.p.grid.require_base(self.a)
         self.q.grid.require_base(self.a)
         b = self.p.grid.hi
-        if b < n + 1:
-            raise ValueError(f"b - a = {b} must be at least N + 1 = {n + 1}")
         if self.p.grid.lo != n or self.q.grid.lo != n + 1 or self.q.grid.hi != b:
             raise ValueError(
                 f"p must cover offsets [{n}, {b}] and q offsets [{n + 1}, {b}]"

@@ -131,6 +131,15 @@ class TestBoundarySpec:
                 right_value=0.0,
             )
 
+    @pytest.mark.parametrize("alpha, left, beta, match", [
+        ((), (), (1.0,), "at least one"),
+        (((1.0, 0.0),), (0.0,), (1.0,), "beta must have 2"),
+        (((1.0, 0.0),), (), (1.0, 0.0), "need 1 left"),
+    ])
+    def test_missing_rows_or_entries_rejected(self, alpha, left, beta, match):
+        with pytest.raises(ValueError, match=match):
+            BoundarySpec(alpha, left, beta, 0.0)
+
     def test_wrong_row_width_rejected(self):
         with pytest.raises(ValueError):
             BoundarySpec(
@@ -174,6 +183,15 @@ class TestDMatrix:
         )
         d = assemble_d(basis, spec, op)
         assert np.max(np.abs(d.entries[:2] - np.array(spec.alpha))) < 1e-12
+
+    def test_spec_and_basis_must_fit_the_operator(self):
+        op = FracOperator.constant(0.0, 1.5, 9)
+        basis = homogeneous_basis(op)
+        one_row = BoundarySpec(((1.0, 0.0),), (0.0,), (1.0, 0.0), 0.0)
+        with pytest.raises(ValueError, match="N=1 but operator has N=2"):
+            assemble_d(basis, one_row, op)
+        with pytest.raises(ValueError, match="need 3 basis functions, got 2"):
+            assemble_d(basis[:2], BoundarySpec.conjugate(), op)
 
     def test_zero_basis_column_kills_determinant(self, rng):
         op = random_operator(rng, 0.0, 1.5, 9)

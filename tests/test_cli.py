@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nablafrac import taylor_monomial
-from nablafrac.cli import main
+from nablafrac import (FracOperator, Grid, GridFunction, cauchy_function,
+                       conjugate_greens_closed_form, taylor_monomial)
+from nablafrac.cli import _fmt, main
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -35,6 +37,10 @@ def ivp_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+VARIABLE_PQ = {"p": {"values": [1.0, 2.0, 1.5, 1.0, 2.0, 1.0, 1.0], "start": 2},
+               "q": {"values": [0.1, -0.2, 0.3, 0.0, 0.1, -0.1], "start": 3}}
 
 
 class TestMonomial:
@@ -91,6 +97,41 @@ class TestSolveIvp:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["solve-ivp", "--config", str(path)]) == 1
+
+    def test_top_level_array_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]")
+        assert main(["solve-ivp", "--config", str(path)]) == 1
+        assert "must be an object" in capsys.readouterr().err
+
+    def test_other_problem_type_is_config_error(self, tmp_path, capsys):
+        cfg = ivp_config(problem={"type": "bvp"})
+        assert main(["solve-ivp", "--config", write_config(tmp_path, cfg)]) == 1
+        assert "'problem.type'" in capsys.readouterr().err
+
+    def test_zero_ghost_mode_is_the_default(self, tmp_path, capsys):
+        outputs = []
+        for ghost in [{}, {"ghost": {"mode": "zero"}}]:
+            cfg = ivp_config(h=0.5, problem={"type": "ivp", "A": [0.1, -0.2, 0.3], **ghost})
+            assert main(["solve-ivp", "--config", write_config(tmp_path, cfg)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+class TestCauchy:
+    def test_rows_are_the_cauchy_function_columns(self, tmp_path):
+        cfg = ivp_config(**VARIABLE_PQ)
+        out = tmp_path / "x.csv"
+        assert main(["cauchy", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        header, rows = read_csv(str(out))
+        assert header == ["t_offset", "t", "s_offset", "s", "x"]
+        cf = cauchy_function(FracOperator(0.0, 1.5,
+                                          GridFunction(Grid(0.0, 2, 8), cfg["p"]["values"]),
+                                          GridFunction(Grid(0.0, 3, 8), cfg["q"]["values"])))
+        want = [[str(k), _fmt(k), str(s), _fmt(s), _fmt(cf.column(s).at(k))]
+                for s in cf.s_offsets() for k in cf.column(s).grid.offsets()]
+        assert rows == want
 
 
 class TestSolveBvp:
@@ -155,6 +196,31 @@ class TestGreens:
     def test_missing_parameters_is_config_error(self):
         assert main(["greens", "--conjugate", "a=0", "b=4"]) == 1
 
+    def test_config_gives_the_g_that_verify_checks(self, tmp_path):
+        cfg = {"a": 0, "b_offset": 12, "nu": 1.5, "p": 1, "q": 0, "h": 1,
+               "problem": {"type": "greens"}}
+        out = tmp_path / "g.csv"
+        assert main(["greens", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(str(out))
+        closed = conjugate_greens_closed_form(0.0, 12.0, 1.5)
+        stated = [(float(g), closed.value(int(t), int(s)))
+                  for t, _, s, _, g, branch in rows if branch != "u*"]
+        assert len(stated) == np.count_nonzero(closed.branch != "u*")
+        assert max(abs(g - c) for g, c in stated) < 1e-10 * np.max(np.abs(closed.G))
+
+    def test_config_with_variable_coefficients(self, tmp_path):
+        cfg = ivp_config(problem={"type": "greens"}, **VARIABLE_PQ)
+        assert main(["greens", "--config", write_config(tmp_path, cfg)]) == 0
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"q": 0.5, "problem": {"type": "greens", "conjugate": True}}, "'problem.conjugate'"),
+        ({"nu": 2.5, "problem": {"type": "greens"}}, "N == 2"),
+    ])
+    def test_config_refusals(self, tmp_path, capsys, overrides, named):
+        assert main(["greens", "--config", write_config(tmp_path, ivp_config(**overrides))]) == 1
+        assert named in capsys.readouterr().err
+
 
 class TestVerify:
     def test_valid_ivp_passes(self, tmp_path, capsys):
@@ -192,6 +258,9 @@ class TestVerify:
          "ghost": {"mode": "explicit", "values": [1.0, 2.0]}},
         {"type": "bvp", "alpha": [[1.0, 0.0]], "A": [0.0], "beta": [1.0, 0.0], "B": 0.0},
         {"type": "greens-ish"},
+        {"type": "ivp", "A": [0.0, 0.0, 0.0], "ghost": [1.0]},
+        {"type": "ivp", "A": [0.0, 0.0, 0.0], "ghost": {"mode": "reflect"}},
+        {"type": "bvp", "alpha": "rows", "A": [0.0, 0.0], "beta": [1.0, 0.0, 0.0], "B": 0.0},
     ])
     def test_malformed_problem_exits_one_before_any_check(self, tmp_path, capsys, problem):
         cfg = ivp_config(problem=problem)
@@ -222,6 +291,15 @@ class TestVerify:
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("check ")]
         assert [ln.split(": ")[0] for ln in lines] == [f"check {k}" for k in range(len(names))]
         assert [ln.split(": ")[1] for ln in lines] == names
+
+    def test_failing_check_exits_ten_plus_its_number(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NABLA_GREEN_TOL", "1e-300")
+        cfg = ivp_config(q=0.3, problem={"type": "ivp", "A": [0.1, -0.2, 0.3]})
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 11
+        out = capsys.readouterr().out
+        assert "check 1: ivp-equation-residual" in out and "FAIL" in out
+        assert "check 2: ivp-oracle-agreement" in out
+        assert "all checks passed" not in out
 
     def test_env_tolerance_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("NABLA_GREEN_TOL", "1e-2")
@@ -263,6 +341,7 @@ class TestConfigNumbers:
         ({"problem": {"type": "bvp", "alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                       "A": [0.0, 0.0], "beta": [1.0, 0.0, 0.0], "B": float("nan")}},
          "'problem.B'"),
+        ({"h": 10**400}, "'h'"),
     ])
     def test_non_finite_or_boolean_number_is_config_error(self, tmp_path, capsys,
                                                           overrides, field):
@@ -290,6 +369,8 @@ GREENS_NU_2_5 = {"a": 0.0, "b_offset": 8, "nu": 2.5, "p": 1.0, "q": 0.0, "h": 1.
     pytest.param(["monomial", "--nu", "1.5", "--a", "inf"], 1, "'--a'", id="monomial-a-inf"),
     pytest.param(["monomial", "--nu", "1.5", "--out", "{missing}"], 1, "{missing}",
                  id="out-unwritable"),
+    pytest.param(["verify", "--config", "{missing}"], 1, "'--config'", id="config-unreadable"),
+    pytest.param(["greens"], 1, "'--conjugate'", id="greens-no-source"),
     pytest.param(["greens", "--conjugate", "a=0", "b=3", "nu=1.0000000000001"], 2, "vanishes",
                  id="degenerate-exits-two"),
 ])
@@ -299,6 +380,7 @@ def test_cli_returns_its_documented_code_and_never_raises(tmp_path, capsys, argv
     assert main([arg.format(**paths) for arg in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named.format(**paths) in err
+    assert "config field" not in err  # no row here names a config field
 
 
 def test_python_dash_m_runs_the_cli():

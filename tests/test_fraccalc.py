@@ -62,7 +62,8 @@ ORDER_CALLS = {
 
 
 @pytest.mark.parametrize("name", ORDER_CALLS)
-@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf, 0.0, -0.5,
+                                pytest.param(10**400, id="int-10**400")])
 def test_order_rule_rejects_with_value_error(name, nu):
     with pytest.raises(ValueError):  # an OverflowError is not a ValueError
         ORDER_CALLS[name](nu)
@@ -93,6 +94,11 @@ class TestWholeOrder:
     def test_nabla_singleton_rejected(self):
         with pytest.raises(ValueError):
             nabla(constant_grid_function(Grid(0.0, 0, 0), 1.0))
+
+    @pytest.mark.parametrize("n, hi, match", [(-1, 4, ">= 0"), (3, 2, "too short")])
+    def test_negative_order_or_short_grid_rejected(self, n, hi, match):
+        with pytest.raises(ValueError, match=match):
+            nabla_n(constant_grid_function(Grid(0.0, 0, hi), 1.0), n)
 
     def test_second_difference_of_square_is_two(self):
         f = make_grid_function(Grid(0.0, 0, 4), lambda t: t * t)

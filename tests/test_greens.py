@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from nablafrac import (
     Grid,
     GridFunction,
     NearSingularError,
+    apply,
     assemble_bvp,
     boundary_rows,
     build_greens,
@@ -102,6 +105,19 @@ class TestBuildGreens:
             ti, si = t - g.t_lo, s - g.s_lo
             assert g.u[ti, si] == pytest.approx(g.v[ti, si], abs=1e-13)
 
+    def test_g_is_the_stated_piece_on_every_cell(self, rng):
+        # the Cauchy column is 0 for t < s, so v equals u wherever u is stated
+        op, spec, basis = conjugate_setup(0.0, 14, 1.5)
+        variable = random_operator(rng, 0.0, 2.5, 14)
+        three_rows = BoundarySpec(((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                                   (0.0, 0.0, 1.0, 0.0)), (0.0, 0.0, 0.0),
+                                  (1.0, 0.0, 0.0, 0.0), 0.0)
+        for g in [build_greens(op, spec, basis),
+                  conjugate_greens_closed_form(0.0, 14.0, 1.5),
+                  build_greens(variable, three_rows, homogeneous_basis(variable))]:
+            assert g.G is g.v
+            assert np.array_equal(np.where(g.branch == "v", g.v, g.u), g.G)
+
     def test_invariant_under_basis_scaling(self):
         op, spec, basis = conjugate_setup(0.0, 9, 1.5)
         scaled = tuple(
@@ -129,6 +145,17 @@ class TestBuildGreens:
         op, spec, basis = conjugate_setup(0.0, 9, 1.5)
         with pytest.raises(NearSingularError):
             build_greens(op, spec, (basis[0], basis[0], basis[2]))
+
+
+class TestColumn:
+    @pytest.mark.parametrize("basic", [True, False])
+    def test_each_column_solves_the_impulse_equation(self, rng, basic):
+        op = FracOperator.constant(0.0, 1.5, 12) if basic else random_operator(rng, 0.0, 1.5, 12)
+        g = build_greens(op, BoundarySpec.conjugate(), homogeneous_basis(op, analytic=basic))
+        for s in range(g.s_lo, g.b_offset + 1):
+            lx = apply(op, g.column(s))
+            impulse = np.arange(lx.grid.lo, lx.grid.hi + 1) == s
+            assert np.max(np.abs(lx.values - impulse)) < 1e-12
 
 
 class TestGreensSolve:
@@ -177,3 +204,9 @@ class TestCompare:
         assert g.branch_of(0, 3) == "u"
         assert g.branch_of(3, 3) == "v"
         assert g.branch_of(6, 7) == "v"
+
+    def test_different_branch_tables_rejected(self):
+        g = conjugate_greens_closed_form(0.0, 7.0, 1.5)
+        relabelled = dataclasses.replace(g, branch=np.where(g.branch == "u*", "u", g.branch))
+        with pytest.raises(ValueError, match="branch tables disagree"):
+            compare_greens(g, relabelled)

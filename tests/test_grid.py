@@ -160,7 +160,8 @@ POINT_CALLS = {
 
 
 @pytest.mark.parametrize("name", POINT_CALLS)
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "+0.5", "+0.4"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "+0.5", "+0.4",
+                                 pytest.param(10**400, id="int-10**400")])
 def test_point_rule_rejects_non_finite_and_off_grid_points(name, bad):
     call, t = POINT_CALLS[name]
     point = t + float(bad[1:]) if isinstance(bad, str) else bad

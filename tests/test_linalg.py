@@ -82,3 +82,13 @@ def test_singular_matrix_raises_like_row_loop():
     for solve in (loop_gauss_solve, gauss_solve):
         with pytest.raises(SingularSystemError):
             solve(a, np.ones(3))
+
+
+@pytest.mark.parametrize("matrix, rhs, match", [
+    (np.ones((2, 3)), np.ones(2), "square"),
+    (np.ones(3), np.ones(3), "square"),
+    (np.eye(3), np.ones(2), "rhs length"),
+])
+def test_non_square_matrix_or_short_rhs_rejected(matrix, rhs, match):
+    with pytest.raises(ValueError, match=match):
+        gauss_solve(matrix, rhs)

@@ -198,6 +198,12 @@ class TestGhostClosure:
         with pytest.raises(ValueError):
             extend_with_closure(op, x, GhostClosure.explicit(1.0, 2.0))
 
+    def test_x_must_start_at_the_base(self):
+        op = FracOperator.constant(0.0, 1.5, 6)
+        x = constant_grid_function(Grid(0.0, 1, 6), 1.0)
+        with pytest.raises(ValueError, match=r"\[a, \.\.\.\]"):
+            extend_with_closure(op, x, GhostClosure.zero())
+
 
 class TestLeadingCoefficient:
     def test_is_p(self, rng):

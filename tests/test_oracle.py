@@ -50,6 +50,11 @@ class TestAssembly:
             # nothing ahead of t
             assert np.all(row[sys.column_of(t) + 1:] == 0.0)
 
+    def test_ivp_initial_value_count_mismatch(self):
+        op = FracOperator.constant(0.0, 1.5, 10)
+        with pytest.raises(ValueError, match="need 3 initial values, got 2"):
+            assemble_ivp(op, zero_forcing(op), InitialConditions.zeros(1))
+
     def test_bvp_row_count_and_spec_mismatch(self, rng):
         op = random_operator(rng, 0.0, 1.5, 9)
         sys = assemble_bvp(op, zero_forcing(op), BoundarySpec.conjugate(),
