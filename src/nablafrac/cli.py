@@ -253,9 +253,25 @@ def _greens_basis(op: FracOperator):
     return homogeneous_basis(op, analytic=op.is_basic())
 
 
+_GREENS_PARAMS = ("a", "b", "nu")
+
+
+def _greens_params(words: Sequence[str]) -> dict:
+    """The key=value words as a dict; any other word is an ArgumentError."""
+    params = {}
+    for word in words:
+        key, sep, value = word.partition("=")
+        if not sep or key not in _GREENS_PARAMS or key in params:
+            raise ArgumentError(word, "expected each of a=<real> b=<real> nu=<real> at most once")
+        params[key] = value
+    return params
+
+
 def _greens_from_args(args):
-    params = dict(kv.split("=", 1) for kv in args.params if "=" in kv)
+    params = _greens_params(args.params)
     if args.config:
+        if params:
+            raise ArgumentError(args.params[0], "key=value parameters cannot be used with --config")
         cfg = load_config(args.config)
         problem = _problem(cfg, "greens")
         op = build_operator(cfg)
@@ -268,12 +284,11 @@ def _greens_from_args(args):
         return build_greens(op, BoundarySpec.conjugate(), _greens_basis(op))
     if not args.conjugate:
         raise ArgumentError("--conjugate", "greens needs it with a=, b=, nu=, or --config")
-    names = ("a", "b", "nu")
     try:
-        values = [float(params[k]) for k in names]
+        values = [float(params[k]) for k in _GREENS_PARAMS]
     except (KeyError, ValueError):
         raise ArgumentError("--conjugate", "needs a=<real> b=<real> nu=<real>")
-    return conjugate_greens_closed_form(*map(_finite, names, values))
+    return conjugate_greens_closed_form(*map(_finite, _GREENS_PARAMS, values))
 
 
 def cmd_greens(args) -> int:
@@ -294,12 +309,21 @@ def _boundary_gap(x: GridFunction, spec: BoundarySpec, op: FracOperator) -> floa
     return float(np.max(np.abs(boundary_rows(spec, op.b_offset) @ xs - spec.values)))
 
 
-def _max_gap(x: GridFunction, y: GridFunction) -> float:
-    return float(np.max(np.abs(x.values - y.values)))
+def _relative_gap(x: GridFunction, ref: GridFunction) -> tuple[float, float]:
+    """max|x - ref| over max|ref|, then max|x - ref| itself; 0/0 counts as 0."""
+    gap = float(np.max(np.abs(x.values - ref.values)))
+    size = float(np.max(np.abs(ref.values)))
+    return (gap / size if size else math.inf if gap else 0.0), gap
 
 
 def _verify_checks(cfg: dict):
-    """Yield (name, measured, tolerance-scale) triples; the config is validated first."""
+    """Yield (name, measured, absolute gap, tolerance-scale) tuples.
+
+    The verdict reads ``measured``.  The agreement checks measure their
+    gap relative to max|x| of the reference answer and also report the
+    gap itself; the other checks report ``None`` there.  The config is
+    validated before the first check.
+    """
     op = build_operator(cfg)
     h = build_forcing(cfg, op)
     problem = _require(cfg, "problem", dict)
@@ -317,27 +341,27 @@ def _verify_checks(cfg: dict):
     else:
         raise ConfigError("problem.type", f"unknown type {kind!r}")
     probe_gap = float(np.max(np.abs(probe_equation_rows(op) - dense_sys.matrix[2 * op.N:])))
-    yield "probe-vs-symbolic-rows", probe_gap, 1e-10
+    yield "probe-vs-symbolic-rows", probe_gap, None, 1e-10
 
     if kind == "ivp":
         x = solve_ivp(op, h, ic)
-        yield "ivp-equation-residual", residual(op, x, h), None
-        yield "ivp-oracle-agreement", _max_gap(x, dense_solve(dense_sys)), None
+        yield "ivp-equation-residual", residual(op, x, h), None, None
+        yield "ivp-oracle-agreement", *_relative_gap(x, dense_solve(dense_sys)), None
     elif kind == "bvp":
         x = solve_bvp(op, h, spec)
-        yield "bvp-equation-residual", residual(op, x, h), None
-        yield "bvp-boundary-residual", _boundary_gap(x, spec, op), None
-        yield "bvp-oracle-agreement", _max_gap(x, dense_solve(dense_sys)), None
+        yield "bvp-equation-residual", residual(op, x, h), None, None
+        yield "bvp-boundary-residual", _boundary_gap(x, spec, op), None, None
+        yield "bvp-oracle-agreement", *_relative_gap(x, dense_solve(dense_sys)), None
     else:
         spec = BoundarySpec.conjugate()
         basis = _greens_basis(op)
         built = build_greens(op, spec, basis)
         closed = conjugate_greens_closed_form(op.a, op.b, op.nu)
-        yield "greens-closed-form-agreement", compare_greens(built, closed), 1e-10
+        yield "greens-closed-form-agreement", compare_greens(built, closed), None, 1e-10
         x = greens_solve(built, h)
-        yield "greens-equation-residual", residual(op, x, h), None
-        yield "greens-boundary-residual", _boundary_gap(x, spec, op), None
-        yield "greens-vs-bvp-agreement", _max_gap(x, solve_bvp(op, h, spec, basis)), None
+        yield "greens-equation-residual", residual(op, x, h), None, None
+        yield "greens-boundary-residual", _boundary_gap(x, spec, op), None, None
+        yield "greens-vs-bvp-agreement", *_relative_gap(x, solve_bvp(op, h, spec, basis)), None
 
 
 def cmd_verify(args) -> int:
@@ -353,11 +377,12 @@ def cmd_verify(args) -> int:
             return 1
     cfg = load_config(args.config)
     failed = None
-    for idx, (name, measured, scale) in enumerate(_verify_checks(cfg)):
+    for idx, (name, measured, gap, scale) in enumerate(_verify_checks(cfg)):
         limit = max(tol, scale) if scale is not None else tol
         ok = measured <= limit
-        print(f"check {idx}: {name}: max residual {measured:.3e} "
-              f"(tolerance {limit:.1e}) {'PASS' if ok else 'FAIL'}")
+        value = (f"max residual {measured:.3e}" if gap is None
+                 else f"max gap {gap:.3e}, over max|x| {measured:.3e}")
+        print(f"check {idx}: {name}: {value} (tolerance {limit:.1e}) {'PASS' if ok else 'FAIL'}")
         if not ok and failed is None:
             failed = idx
     if failed is None:

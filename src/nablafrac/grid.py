@@ -46,7 +46,11 @@ class Grid:
     hi: int
 
     def __post_init__(self):
-        if not math.isfinite(self.base):
+        try:
+            finite = math.isfinite(self.base)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise ValueError(f"grid base must be finite, got {self.base}")
         if self.lo > self.hi:
             raise ValueError(f"empty grid: lo={self.lo} > hi={self.hi}")

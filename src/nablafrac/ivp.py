@@ -4,7 +4,9 @@ of constants, and fundamental solution sets.
 The recursion isolates the p(t)-weighted top term of the operator row at
 each t; since the Caputo kernel weight at the diagonal is exactly 1, the
 pivot is p(t) > 0 and the recursion never breaks down.  :func:`solve_ivp`
-runs it on arrays over one kernel-weight vector in O(b^2);
+runs it as a blocked forward substitution over one kernel-weight vector:
+still row by row in order, still O(b^2), with the history before each
+32-row block added once per block;
 :func:`cauchy_function` still rebuilds each row from scalar monomials and
 stores x(t, s) as one (t, s) array, so :func:`variation_of_constants` is
 one matrix-vector product.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from operator import mul
 
 import numpy as np
 
@@ -21,6 +24,9 @@ from .errors import OffGridError
 from .grid import Grid, GridFunction, constant_grid_function
 from .monomial import kernel_weights, taylor_monomial
 from .operator import FracOperator, GhostClosure
+
+# rows per block of the forward substitution in solve_ivp
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -78,43 +84,57 @@ def _row_value(op: FracOperator, xs: list[float], lo: int, base: int, t: int) ->
 
 
 def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridFunction:
-    """Solve L x = h with nabla^i x(a+i) = A_i by forward recursion.
+    """Solve L x = h with nabla^i x(a+i) = A_i by blocked forward substitution.
 
     Returns x on the extended grid [a-N+1, b].  The initial conditions
     and the ghost closure are satisfied exactly; the equation holds to
     accumulated rounding.
 
     Row t reads p(t) cap(t) = h(t) + p(t-1) cap(t-1) - q(t) x(t-1), where
-    cap(t) = nabla^N x(t) + sum_{s<t} H_{N-nu-1}(t-s+1) nabla^N x(s).  The
-    history sum is one dot with the reversed kernel weights, cap(t-1) is
-    carried from the previous row, and the pivot is p(t).  O(b^2) time,
-    O(b) memory.
+    the Caputo value is cap(t) = sum_u g(t-u) x(u) over u >= a+1, plus the
+    initial window's part, and g holds the weights of (1-z)^nu: the
+    kernel weights convolved with the N-th difference.
+    cap(t-1) is carried from the previous row and the pivot is p(t), so
+    the rows are solved one at a time and in order.  They run in blocks
+    of ``_BLOCK``: a row sums g over the values already found in its
+    block, and the history before the block is one running array that
+    each finished block adds its convolution with g to.  The initial
+    window [a-N+1, a+N], whose Caputo sums start at a+1, enters that
+    array once, through the kernel weights.  O(b^2) time, O(b) memory,
+    and no numpy call per row.
     """
     n = op.N
     b = op.b_offset
     if len(ic.values) != n + 1:
         raise ValueError(f"need {n + 1} initial values, got {len(ic.values)}")
-    # h, p and q indexed by offset, zero below their grids
+    # h, p and q indexed by offset; rows run over t in [N+1, b]
     hv = [0.0] * (n + 1) + h.values_on(op.a, n + 1, b).tolist()
     p = [0.0] * n + op.p.values.tolist()
     q = [0.0] * (n + 1) + op.q.values.tolist()
-    lo = -(n - 1)
-    x = np.zeros(b - lo + 1)
-    x[:n - 1] = ic.closure.ghost_values(n - 1)[::-1]
-    x[-lo:n + 1 - lo] = ic_to_values(ic)
-    # (-1)^i C(N,i) for i = N..1, against x(t-N), ..., x(t-1)
-    binom = np.array([(-1) ** i * comb(n, i) for i in range(n, 0, -1)], dtype=float)
-    wr = kernel_weights(b, n - op.nu - 1.0)[::-1]  # wr[b-k] = H(k)
-    d = np.zeros(b + 1)  # nabla^N x on [0, b]; d[0] is never read
-    cap = 0.0  # Caputo value at t-1
-    for t in range(1, b + 1):
-        hist = float(np.dot(wr[b - t:b - 1], d[1:t]))
-        rest = float(np.dot(binom, x[t - n - lo:t - lo]))
-        if t > n:
-            x[t - lo] = (hv[t] + p[t - 1] * cap - q[t] * x[t - 1 - lo]) / p[t] - hist - rest
-        d[t] = x[t - lo] + rest
-        cap = d[t] + hist
-    return GridFunction(Grid(op.a, lo, b), x)
+    # x on [1-N, N]: the ghosts, then the unfolded initial values
+    x = list(ic.closure.ghost_values(n - 1)[::-1]) + list(ic_to_values(ic))
+    # (-1)^i C(N,i) for i = 0..N, the N-th difference newest first
+    binom = np.array([(-1) ** i * comb(n, i) for i in range(n + 1)], dtype=float)
+    kw = kernel_weights(b, n - op.nu - 1.0)[1:]  # kw[k] = H(k+1)
+    g = np.convolve(kw, binom)[:b]  # g[k]: weight of x(t-k) in cap(t), t-k >= 1
+    g1 = g[1:_BLOCK].tolist()
+    # acc[t-1]: the part of cap(t) from the x before t's block.  For the
+    # first block that is the window [1-N, N], through the kernel weights
+    # and nabla^N x(s) for s in [1, 2N] (only its terms in the window).
+    acc = np.convolve(np.convolve(binom, x)[n:], kw)[:b]
+    cap = float(acc[n - 1])  # cap(N)
+    for t0 in range(n + 1, b + 1, _BLOCK):
+        t1 = min(t0 + _BLOCK, b + 1)
+        xb = []  # this block's values, newest first
+        for t, hist in zip(range(t0, t1), acc[t0 - 1:t1 - 1].tolist()):
+            hist += sum(map(mul, g1, xb))
+            xt = (hv[t] + p[t - 1] * cap - q[t] * x[-1]) / p[t] - hist
+            cap = xt + hist
+            x.append(xt)
+            xb.insert(0, xt)
+        if t1 <= b:
+            acc[t1 - 1:] += np.convolve(xb[::-1], g[:b - t0 + 1])[t1 - t0:b + 1 - t0]
+    return GridFunction(Grid(op.a, -(n - 1), b), x)
 
 
 def zero_forcing(op: FracOperator) -> GridFunction:

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from nablafrac import (FracOperator, Grid, GridFunction, cauchy_function,
-                       conjugate_greens_closed_form, taylor_monomial)
+                       conjugate_greens_closed_form, solve_ivp, taylor_monomial)
+from nablafrac import cli
 from nablafrac.cli import _fmt, main
+from conftest import mp_solve_ivp
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -301,6 +303,49 @@ class TestVerify:
         assert "check 2: ivp-oracle-agreement" in out
         assert "all checks passed" not in out
 
+    def test_growing_answer_is_judged_relative_to_its_size(self, tmp_path, capsys):
+        # variable p, q and nu = 2.5 at b = 32: x grows to about 1.7e6, and
+        # the solver and the dense oracle differ by 1e-5 in absolute terms
+        rng = np.random.default_rng(1)
+        cfg = {"a": 0.0, "b_offset": 32, "nu": 2.5,
+               "p": {"values": rng.uniform(0.5, 2.0, 30).tolist(), "start": 3},
+               "q": {"values": rng.uniform(-1.0, 1.0, 29).tolist(), "start": 4},
+               "h": {"values": rng.uniform(-1.0, 1.0, 29).tolist(), "start": 4},
+               "problem": {"type": "ivp", "A": rng.uniform(-1.0, 1.0, 4).tolist()}}
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
+        line = capsys.readouterr().out.splitlines()[2]
+        gap = float(line.split("max gap ")[1].split(",")[0])
+        assert line.startswith("check 2: ivp-oracle-agreement") and gap > 1e-8
+        # and the answer verify passed is right: a 60-digit solve agrees
+        op = cli.build_operator(cfg)
+        h = cli.build_forcing(cfg, op)
+        ic = cli.build_initial_conditions(cfg["problem"], op)
+        ref = mp_solve_ivp(op, h, ic)
+        assert np.max(np.abs(solve_ivp(op, h, ic).values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_wrong_answer_still_fails_the_agreement_check(self, tmp_path, monkeypatch, capsys):
+        # a shift of 1e-6 max|x| keeps the equation rows (q = 0) and, at
+        # this small scale, the boundary rows within 1e-8: only the
+        # oracle agreement can see it
+        solve_bvp = cli.solve_bvp
+
+        def shifted(*args):
+            x = solve_bvp(*args)
+            return GridFunction(x.grid, x.values + 1e-6 * np.max(np.abs(x.values)))
+
+        monkeypatch.setattr(cli, "solve_bvp", shifted)
+        cfg = ivp_config(h=1e-4, problem={"type": "bvp", "alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                                          "A": [0.0, 0.0], "beta": [1.0, 0.0, 0.0], "B": 0.0})
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 13
+        out = capsys.readouterr().out
+        assert "check 2: bvp-boundary-residual" in out and "PASS" in out.splitlines()[2]
+        assert "check 3: bvp-oracle-agreement" in out and "FAIL" in out.splitlines()[3]
+
+    def test_zero_answer_has_zero_relative_gap(self, tmp_path, capsys):
+        assert main(["verify", "--config", write_config(tmp_path, ivp_config(h=0.0))]) == 0
+        line = capsys.readouterr().out.splitlines()[2]
+        assert "max gap 0.000e+00, over max|x| 0.000e+00" in line and "PASS" in line
+
     def test_env_tolerance_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("NABLA_GREEN_TOL", "1e-2")
         assert main(["verify", "--config",
@@ -371,11 +416,20 @@ GREENS_NU_2_5 = {"a": 0.0, "b_offset": 8, "nu": 2.5, "p": 1.0, "q": 0.0, "h": 1.
                  id="out-unwritable"),
     pytest.param(["verify", "--config", "{missing}"], 1, "'--config'", id="config-unreadable"),
     pytest.param(["greens"], 1, "'--conjugate'", id="greens-no-source"),
+    pytest.param(["greens", "--conjugate", "a=0", "b=5", "nu=1.5", "junk", "c=3"], 1, "'junk'",
+                 id="greens-word-without-equals"),
+    pytest.param(["greens", "--conjugate", "a=0", "b=5", "nu=1.5", "c=3"], 1, "'c=3'",
+                 id="greens-unknown-key"),
+    pytest.param(["greens", "--conjugate", "a=0", "b=5", "nu=1.5", "a=1"], 1, "'a=1'",
+                 id="greens-key-twice"),
+    pytest.param(["greens", "--config", "{greens_1_5}", "nu=1.5"], 1, "'nu=1.5'",
+                 id="greens-params-with-config"),
     pytest.param(["greens", "--conjugate", "a=0", "b=3", "nu=1.0000000000001"], 2, "vanishes",
                  id="degenerate-exits-two"),
 ])
 def test_cli_returns_its_documented_code_and_never_raises(tmp_path, capsys, argv, code, named):
     paths = {"greens_nu_2_5": write_config(tmp_path, GREENS_NU_2_5),
+             "greens_1_5": write_config(tmp_path, dict(GREENS_NU_2_5, nu=1.5), "g15.json"),
              "missing": str(tmp_path / "missing" / "x.csv")}
     assert main([arg.format(**paths) for arg in argv]) == code
     err = capsys.readouterr().err

@@ -176,7 +176,8 @@ def test_point_rule_accepts_a_point_within_tolerance(name):
     assert np.asarray(call(t + 1e-12)).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("base", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("base", [np.nan, np.inf, -np.inf,
+                                  pytest.param(10**400, id="int-10**400")])
 def test_grid_rejects_a_non_finite_base(base):
     with pytest.raises(ValueError):
         Grid(base, 0, 3)

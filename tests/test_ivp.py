@@ -24,7 +24,7 @@ from nablafrac import (
     zero_forcing,
 )
 from nablafrac.oracle import assemble_ivp
-from conftest import max_gap, random_forcing, random_operator
+from conftest import max_gap, mp_solve_ivp, random_forcing, random_operator
 
 
 def scaled_ivp_residual(op, h, ic, x):
@@ -137,6 +137,37 @@ class TestSolveIvpAgainstOracle:
         h = random_forcing(rng, op)
         ic = InitialConditions(tuple(rng.uniform(-1, 1, op.N + 1)))
         assert scaled_ivp_residual(op, h, ic, solve_ivp(op, h, ic)) <= 1e-12
+
+
+def _explicit_ghost_ivp(rng, nu, b):
+    op = random_operator(rng, 0.0, nu, b)
+    ic = InitialConditions(tuple(rng.uniform(-1, 1, op.N + 1)),
+                           GhostClosure.explicit(*rng.uniform(-1, 1, op.N - 1)))
+    return op, random_forcing(rng, op), ic
+
+
+def _gap_over_max(x, ref):
+    return np.max(np.abs(x.values - ref)) / np.max(np.abs(ref))
+
+
+class TestSolveIvpAgainstMpmath:
+    """The forward substitution against a 60-digit solve of the same rows."""
+
+    @pytest.mark.parametrize("solved_rows", [1, 31, 32, 33, 64, 65])
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3, 1 + 1e-9])
+    def test_block_edges(self, rng, nu, solved_rows):
+        # b - N rows are solved; the sizes straddle the 32-row blocks
+        op, h, ic = _explicit_ghost_ivp(rng, nu, math.ceil(nu) + solved_rows)
+        assert _gap_over_max(solve_ivp(op, h, ic), mp_solve_ivp(op, h, ic)) <= 1e-10
+
+    def test_long_growing_horizon(self, rng):
+        # max|x| is about 1e87 here, so the rows must be solved in order:
+        # a pivoting solve of each block leaves a small residual but a
+        # wrong answer
+        op, h, ic = _explicit_ghost_ivp(rng, 3.3, 320)
+        ref = mp_solve_ivp(op, h, ic)
+        assert np.max(np.abs(ref)) > 1e80
+        assert _gap_over_max(solve_ivp(op, h, ic), ref) <= 1e-12
 
 
 class TestSolveIvpIndexing:
