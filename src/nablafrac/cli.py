@@ -3,7 +3,8 @@
 Subcommands: ``monomial``, ``cauchy``, ``solve-ivp``, ``solve-bvp``,
 ``greens``, ``verify``.  Exit codes: 0 success, 1 an invalid config,
 argument or output path (every other ``ValueError`` the package raises
-for its input included), 2 singular/degenerate problem data, 10+k
+for its input included) or a stdout closed before the output was written
+(``... | head``; no traceback), 2 singular/degenerate problem data, 10+k
 verification check k failed (checks are numbered in the printed report).
 """
 
@@ -448,7 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Python's "Note on SIGPIPE": the reader is gone, so point stdout at
+        # devnull, where the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (NearSingularError, DegenerateDenominatorError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,4 +15,5 @@ class DegenerateDenominatorError(ValueError):
 
 
 class SingularSystemError(ValueError):
-    """Dense elimination hit a pivot that is zero to working precision."""
+    """A dense system is singular to working precision: the D solve's
+    elimination met a vanishing pivot, or the oracle's cond_1 * eps >= 1."""

@@ -1,8 +1,9 @@
 """Small dense linear algebra: Gaussian elimination with partial pivoting.
 
-The systems here are tiny ((N+1)x(N+1) boundary systems and desk-scale
-dense oracle systems), so a plain elimination that refuses a vanishing
-pivot is all that is warranted.
+Its one caller is the (N+1)x(N+1) D solve of the structured BVP and
+Green's function solvers, where a plain elimination that refuses a
+vanishing pivot is all that is warranted.  The dense oracle solves with
+LAPACK instead.
 """
 
 from __future__ import annotations

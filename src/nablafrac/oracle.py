@@ -5,23 +5,25 @@ structured solvers.
 The equation rows are one block built symbolically by index: a scalar
 ``taylor_monomial`` per kernel offset, broadcast over the lags, times the
 binomial weights of nabla^N.  Neither ``kernel_weights`` nor a solver is
-used, so this is a genuine oracle.  ``probe_equation_rows`` (``apply_array``
-on the identity) is a third implementation for mutual agreement tests.
+used, so this is a genuine oracle.  The system is solved by one LAPACK LU
+(``numpy.linalg.solve``), not by the package's own elimination.
+``probe_equation_rows`` (``apply_array`` on the identity) is a third
+implementation for mutual agreement tests.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 from typing import Sequence
 
 import numpy as np
 
 from .bvp import BoundarySpec
+from .errors import SingularSystemError
 from .grid import Grid, GridFunction
 from .ivp import InitialConditions
-from .linalg import gauss_solve
 from .monomial import taylor_monomial
 from .operator import FracOperator, GhostClosure, apply, apply_array
 
@@ -125,15 +127,24 @@ def assemble_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
 
 
 def dense_solve(sys: DenseSystem) -> GridFunction:
-    """Solve the assembled system by partial-pivot elimination.
+    """Solve the assembled system by one partial-pivot LU of ``[rhs | I]``,
+    which gives x and A^-1, so cond = ||A||_1 ||A^-1||_1 needs no second one.
 
-    Raises :class:`SingularSystemError` on a vanishing pivot; the
-    condition number is computed and logged only at debug level.
+    Raises :class:`SingularSystemError`, naming cond, unless cond * eps < 1
+    (LAPACK's "singular to working precision"; a zero pivot or a NaN
+    fails it too).  cond is logged at debug level.
     """
-    x = gauss_solve(sys.matrix, sys.rhs)
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("dense system condition number: %.3e", np.linalg.cond(sys.matrix))
-    return GridFunction(Grid(sys.a, sys.lo, sys.b_offset), x)
+    try:
+        sol = np.linalg.solve(sys.matrix, np.column_stack((sys.rhs, np.eye(len(sys.rhs)))))
+        cond = float(np.linalg.norm(sys.matrix, 1)) * float(np.linalg.norm(sol[:, 1:], 1))
+    except np.linalg.LinAlgError:
+        cond = inf
+    log.debug("dense system condition number: %.3e", cond)
+    if not cond * np.finfo(float).eps < 1.0:
+        raise SingularSystemError(
+            f"dense system is singular to working precision: condition number {cond:.3e}"
+        )
+    return GridFunction(Grid(sys.a, sys.lo, sys.b_offset), sol[:, 0])
 
 
 def residual(op: FracOperator, x: GridFunction, h: GridFunction) -> float:

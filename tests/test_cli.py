@@ -41,6 +41,25 @@ def ivp_config(**overrides):
     return cfg
 
 
+def variable_ivp_config(rng, nu, b):
+    """An ivp config with random variable p, q, h and initial values."""
+    n = int(np.ceil(nu))
+    return {"a": 0.0, "b_offset": b, "nu": nu,
+            "p": {"values": rng.uniform(0.5, 2.0, b - n + 1).tolist(), "start": n},
+            "q": {"values": rng.uniform(-1.0, 1.0, b - n).tolist(), "start": n + 1},
+            "h": {"values": rng.uniform(-1.0, 1.0, b - n).tolist(), "start": n + 1},
+            "problem": {"type": "ivp", "A": rng.uniform(-1.0, 1.0, n + 1).tolist()}}
+
+
+def mp_gap(cfg):
+    """max|solve_ivp - 60-digit solve| over max|x| for an ivp config."""
+    op = cli.build_operator(cfg)
+    h = cli.build_forcing(cfg, op)
+    ic = cli.build_initial_conditions(cfg["problem"], op)
+    ref = mp_solve_ivp(op, h, ic)
+    return np.max(np.abs(solve_ivp(op, h, ic).values - ref)) / np.max(np.abs(ref))
+
+
 VARIABLE_PQ = {"p": {"values": [1.0, 2.0, 1.5, 1.0, 2.0, 1.0, 1.0], "start": 2},
                "q": {"values": [0.1, -0.2, 0.3, 0.0, 0.1, -0.1], "start": 3}}
 
@@ -306,22 +325,24 @@ class TestVerify:
     def test_growing_answer_is_judged_relative_to_its_size(self, tmp_path, capsys):
         # variable p, q and nu = 2.5 at b = 32: x grows to about 1.7e6, and
         # the solver and the dense oracle differ by 1e-5 in absolute terms
-        rng = np.random.default_rng(1)
-        cfg = {"a": 0.0, "b_offset": 32, "nu": 2.5,
-               "p": {"values": rng.uniform(0.5, 2.0, 30).tolist(), "start": 3},
-               "q": {"values": rng.uniform(-1.0, 1.0, 29).tolist(), "start": 4},
-               "h": {"values": rng.uniform(-1.0, 1.0, 29).tolist(), "start": 4},
-               "problem": {"type": "ivp", "A": rng.uniform(-1.0, 1.0, 4).tolist()}}
+        cfg = variable_ivp_config(np.random.default_rng(1), 2.5, 32)
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
         line = capsys.readouterr().out.splitlines()[2]
         gap = float(line.split("max gap ")[1].split(",")[0])
         assert line.startswith("check 2: ivp-oracle-agreement") and gap > 1e-8
         # and the answer verify passed is right: a 60-digit solve agrees
-        op = cli.build_operator(cfg)
-        h = cli.build_forcing(cfg, op)
-        ic = cli.build_initial_conditions(cfg["problem"], op)
-        ref = mp_solve_ivp(op, h, ic)
-        assert np.max(np.abs(solve_ivp(op, h, ic).values - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert mp_gap(cfg) <= 1e-12
+
+    def test_oracle_solves_what_a_small_pivot_made_look_singular(self, tmp_path, capsys):
+        # an elimination that refused pivots below 1e-13 ||A|| called this
+        # system singular (pivot 9.3e-13), but its cond_1 is 2.9e13, below
+        # 1/eps = 4.5e15, and the oracle's answer agrees with the solver
+        cfg = variable_ivp_config(np.random.default_rng(2), 1.5, 80)
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) != 2
+        out = capsys.readouterr().out
+        line = out.splitlines()[2]
+        assert line.startswith("check 2: ivp-oracle-agreement") and line.endswith("PASS")
+        assert mp_gap(cfg) <= 1e-12
 
     def test_wrong_answer_still_fails_the_agreement_check(self, tmp_path, monkeypatch, capsys):
         # a shift of 1e-6 max|x| keeps the equation rows (q = 0) and, at
@@ -437,11 +458,26 @@ def test_cli_returns_its_documented_code_and_never_raises(tmp_path, capsys, argv
     assert "config field" not in err  # no row here names a config field
 
 
-def test_python_dash_m_runs_the_cli():
+def _module_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-m", "nablafrac", "--help"], env=env,
+
+
+def test_python_dash_m_runs_the_cli():
+    done = subprocess.run([sys.executable, "-m", "nablafrac", "--help"], env=_module_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert "verify" in done.stdout
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # about 0.5 MB of CSV, far more than a pipe buffers, so the writer
+    # is still writing when the reader goes away
+    argv = [sys.executable, "-m", "nablafrac", "greens", "--conjugate", "a=0", "b=80", "nu=1.5"]
+    with subprocess.Popen(argv, env=_module_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline().startswith("t_offset,")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in proc.stderr.read()

@@ -28,7 +28,7 @@ from nablafrac import (
     zero_forcing,
 )
 from nablafrac import oracle
-from conftest import max_gap, random_forcing, random_operator
+from conftest import max_gap, mp_solve_ivp, random_forcing, random_operator
 
 
 class TestAssembly:
@@ -127,6 +127,42 @@ class TestDenseSolve:
         sys.matrix[3] = sys.matrix[2]
         with pytest.raises(SingularSystemError):
             dense_solve(sys)
+
+    def test_zero_row_raises(self):
+        op = FracOperator.constant(0.0, 1.5, 8)
+        sys = assemble_ivp(op, zero_forcing(op), InitialConditions.zeros(2))
+        sys.matrix[3] = 0.0
+        with pytest.raises(SingularSystemError, match="condition number"):
+            dense_solve(sys)
+
+    @pytest.mark.parametrize("variable", [False, True], ids=["basic", "variable"])
+    @pytest.mark.parametrize("b", [8, 32])
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5])
+    def test_matches_60_digit_forward_solve(self, rng, nu, b, variable):
+        op = (random_operator(rng, 0.0, nu, b) if variable
+              else FracOperator.constant(0.0, nu, b))
+        h = random_forcing(rng, op)
+        ic = InitialConditions(tuple(rng.uniform(-1, 1, op.N + 1)),
+                               GhostClosure.explicit(*rng.uniform(-1, 1, op.N - 1)))
+        ref = mp_solve_ivp(op, h, ic)
+        dense = dense_solve(assemble_ivp(op, h, ic)).values
+        assert np.max(np.abs(dense - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_reaches_no_python_elimination(self, rng, monkeypatch):
+        # the oracle must stay independent of the structured solvers' D solve
+        def refuse(*args):
+            raise AssertionError("the oracle must not call gauss_solve")
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("nablafrac")]:
+            if hasattr(module, "gauss_solve"):
+                monkeypatch.setattr(module, "gauss_solve", refuse)
+        op = random_operator(rng, 0.0, 1.5, 12)
+        h = random_forcing(rng, op)
+        spec = BoundarySpec.conjugate(*rng.uniform(-1, 1, 3))
+        with pytest.raises(AssertionError):
+            solve_bvp(op, h, spec)
+        dense = dense_solve(assemble_bvp(op, h, spec, GhostClosure.zero()))
+        assert residual(op, dense, h) < 1e-12
 
 
 class TestConditionLogging:
