@@ -1,10 +1,10 @@
 """Discrete nabla fractional calculus on finite integer-offset grids.
 
-Rising functions and Taylor monomials, fractional integrals and
-Riemann-Liouville / Caputo differences, the fractional operator
-L x = nabla[p * caputo x] + q * shift(x), IVP solvers via Cauchy
-functions and variation of constants, (N,1) boundary value problems via
-constructed Green's functions, and a dense brute-force oracle.
+Taylor monomials, fractional integrals and Riemann-Liouville / Caputo
+differences, the fractional operator L x = nabla[p * caputo x] +
+q * shift(x), IVP solvers via Cauchy functions and variation of
+constants, (N,1) boundary value problems via constructed Green's
+functions, and a dense brute-force oracle.
 """
 
 from .errors import (
@@ -13,8 +13,8 @@ from .errors import (
     OffGridError,
     SingularSystemError,
 )
-from .grid import Grid, GridFunction, constant_grid_function, make_grid_function, nabla_integral
-from .monomial import kernel_weights, rising, taylor_monomial
+from .grid import Grid, GridFunction, constant_grid_function, make_grid_function
+from .monomial import kernel_weights, taylor_monomial
 from .fraccalc import (
     FracOrder,
     caputo_difference,
@@ -23,13 +23,7 @@ from .fraccalc import (
     nabla_n,
     rl_difference,
 )
-from .operator import (
-    FracOperator,
-    GhostClosure,
-    apply,
-    extend_with_closure,
-    leading_coefficient,
-)
+from .operator import FracOperator, GhostClosure, apply
 from .ivp import (
     CauchyFunction,
     InitialConditions,
@@ -40,7 +34,7 @@ from .ivp import (
     variation_of_constants,
     zero_forcing,
 )
-from .bvp import BoundarySpec, DMatrix, assemble_d, boundary_rows, solve_bvp
+from .bvp import BoundarySpec, assemble_d, boundary_rows, solve_bvp
 from .greens import (
     GreensFunction,
     build_greens,
@@ -62,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundarySpec",
     "CauchyFunction",
-    "DMatrix",
     "DegenerateDenominatorError",
     "DenseSystem",
     "FracOperator",
@@ -87,20 +80,16 @@ __all__ = [
     "conjugate_greens_closed_form",
     "constant_grid_function",
     "dense_solve",
-    "extend_with_closure",
     "frac_integral",
     "greens_solve",
     "homogeneous_basis",
     "ic_to_values",
     "kernel_weights",
-    "leading_coefficient",
     "make_grid_function",
     "nabla",
-    "nabla_integral",
     "nabla_n",
     "probe_equation_rows",
     "residual",
-    "rising",
     "rl_difference",
     "solve_bvp",
     "solve_ivp",

@@ -1,11 +1,12 @@
 """Command-line surface: JSON problem configs in, CSV tables out.
 
 Subcommands: ``monomial``, ``cauchy``, ``solve-ivp``, ``solve-bvp``,
-``greens``, ``verify``.  Exit codes: 0 success, 1 an invalid config,
-argument or output path (every other ``ValueError`` the package raises
-for its input included) or a stdout closed before the output was written
-(``... | head``; no traceback), 2 singular/degenerate problem data, 10+k
-verification check k failed (checks are numbered in the printed report).
+``greens``, ``verify``.  Exit codes, none of which ends in a traceback:
+0 success; 1 an invalid config, argument or output path (every other
+``ValueError`` the package raises for its input included), a problem too
+big for memory, or a stdout closed before the output was written
+(``... | head``); 2 singular/degenerate problem data; 10+k verification
+check k failed (checks are numbered in the printed report).
 """
 
 from __future__ import annotations
@@ -310,20 +311,42 @@ def _boundary_gap(x: GridFunction, spec: BoundarySpec, op: FracOperator) -> floa
     return float(np.max(np.abs(boundary_rows(spec, op.b_offset) @ xs - spec.values)))
 
 
-def _relative_gap(x: GridFunction, ref: GridFunction) -> tuple[float, float]:
-    """max|x - ref| over max|ref|, then max|x - ref| itself; 0/0 counts as 0."""
+def _absolute(value: float) -> tuple[float, str]:
+    return value, f"max residual {value:.3e}"
+
+
+def _ratio(num: float, den: float) -> float:
+    """num / den, where 0/0 counts as 0 and a nonzero num over 0 as inf."""
+    return num / den if den else math.inf if num else 0.0
+
+
+def _scaled_residual(op: FracOperator, x: GridFunction, h: GridFunction,
+                     eq_rows: np.ndarray) -> tuple[float, str]:
+    """||Lx - h|| / (||L|| ||x|| + ||h||) in the inf-norm, then a report.
+
+    ``eq_rows`` is L as the dense equation-row matrix, so ||L|| is its
+    largest absolute row sum; x covers its columns and h its rows.
+    """
+    res = residual(op, x, h)
+    size = np.abs(eq_rows).sum(axis=1).max() * np.abs(x.values).max() + np.abs(h.values).max()
+    scaled = _ratio(res, float(size))
+    return scaled, f"max residual {res:.3e}, scaled {scaled:.3e}"
+
+
+def _relative_gap(x: GridFunction, ref: GridFunction) -> tuple[float, str]:
+    """max|x - ref| over max|ref|, then a report of it and of max|x - ref|."""
     gap = float(np.max(np.abs(x.values - ref.values)))
-    size = float(np.max(np.abs(ref.values)))
-    return (gap / size if size else math.inf if gap else 0.0), gap
+    rel = _ratio(gap, float(np.max(np.abs(ref.values))))
+    return rel, f"max gap {gap:.3e}, over max|x| {rel:.3e}"
 
 
 def _verify_checks(cfg: dict):
-    """Yield (name, measured, absolute gap, tolerance-scale) tuples.
+    """Yield (name, measured, report, tolerance-scale) tuples.
 
-    The verdict reads ``measured``.  The agreement checks measure their
-    gap relative to max|x| of the reference answer and also report the
-    gap itself; the other checks report ``None`` there.  The config is
-    validated before the first check.
+    The verdict reads ``measured``: the equation residuals are scaled by
+    ||L|| ||x|| + ||h||, and the agreement checks measure their gap
+    relative to max|x| of the reference answer; ``report`` also gives the
+    absolute value.  The config is validated before the first check.
     """
     op = build_operator(cfg)
     h = build_forcing(cfg, op)
@@ -341,27 +364,28 @@ def _verify_checks(cfg: dict):
         dense_sys = assemble_ivp(op, h, InitialConditions.zeros(op.N))
     else:
         raise ConfigError("problem.type", f"unknown type {kind!r}")
-    probe_gap = float(np.max(np.abs(probe_equation_rows(op) - dense_sys.matrix[2 * op.N:])))
-    yield "probe-vs-symbolic-rows", probe_gap, None, 1e-10
+    eq_rows = dense_sys.matrix[2 * op.N:]
+    probe_gap = float(np.max(np.abs(probe_equation_rows(op) - eq_rows)))
+    yield "probe-vs-symbolic-rows", *_absolute(probe_gap), 1e-10
 
     if kind == "ivp":
         x = solve_ivp(op, h, ic)
-        yield "ivp-equation-residual", residual(op, x, h), None, None
+        yield "ivp-equation-residual", *_scaled_residual(op, x, h, eq_rows), None
         yield "ivp-oracle-agreement", *_relative_gap(x, dense_solve(dense_sys)), None
     elif kind == "bvp":
         x = solve_bvp(op, h, spec)
-        yield "bvp-equation-residual", residual(op, x, h), None, None
-        yield "bvp-boundary-residual", _boundary_gap(x, spec, op), None, None
+        yield "bvp-equation-residual", *_scaled_residual(op, x, h, eq_rows), None
+        yield "bvp-boundary-residual", *_absolute(_boundary_gap(x, spec, op)), None
         yield "bvp-oracle-agreement", *_relative_gap(x, dense_solve(dense_sys)), None
     else:
         spec = BoundarySpec.conjugate()
         basis = _greens_basis(op)
         built = build_greens(op, spec, basis)
         closed = conjugate_greens_closed_form(op.a, op.b, op.nu)
-        yield "greens-closed-form-agreement", compare_greens(built, closed), None, 1e-10
+        yield "greens-closed-form-agreement", *_absolute(compare_greens(built, closed)), 1e-10
         x = greens_solve(built, h)
-        yield "greens-equation-residual", residual(op, x, h), None, None
-        yield "greens-boundary-residual", _boundary_gap(x, spec, op), None, None
+        yield "greens-equation-residual", *_scaled_residual(op, x, h, eq_rows), None
+        yield "greens-boundary-residual", *_absolute(_boundary_gap(x, spec, op)), None
         yield "greens-vs-bvp-agreement", *_relative_gap(x, solve_bvp(op, h, spec, basis)), None
 
 
@@ -378,12 +402,10 @@ def cmd_verify(args) -> int:
             return 1
     cfg = load_config(args.config)
     failed = None
-    for idx, (name, measured, gap, scale) in enumerate(_verify_checks(cfg)):
+    for idx, (name, measured, report, scale) in enumerate(_verify_checks(cfg)):
         limit = max(tol, scale) if scale is not None else tol
         ok = measured <= limit
-        value = (f"max residual {measured:.3e}" if gap is None
-                 else f"max gap {gap:.3e}, over max|x| {measured:.3e}")
-        print(f"check {idx}: {name}: {value} (tolerance {limit:.1e}) {'PASS' if ok else 'FAIL'}")
+        print(f"check {idx}: {name}: {report} (tolerance {limit:.1e}) {'PASS' if ok else 'FAIL'}")
         if not ok and failed is None:
             failed = idx
     if failed is None:
@@ -462,6 +484,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except ValueError as exc:  # ConfigError, and the package's own input checks
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: problem too big for memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -61,13 +61,6 @@ class Grid:
     def offsets(self) -> range:
         return range(self.lo, self.hi + 1)
 
-    def offset_of(self, t: float) -> int:
-        """Integer offset of the point ``t``; raises if ``t`` is off-grid."""
-        k = point_offset(t, self.base)
-        if not self.lo <= k <= self.hi:
-            raise OffGridError(f"{t} (offset {k}) outside grid offsets [{self.lo}, {self.hi}]")
-        return k
-
     def contains_offset(self, k: int) -> bool:
         return self.lo <= k <= self.hi
 
@@ -104,9 +97,6 @@ class GridFunction:
             raise OffGridError(f"offset {k} outside [{self.grid.lo}, {self.grid.hi}]")
         return float(self.values[k - self.grid.lo])
 
-    def __call__(self, t: float) -> float:
-        return self.at(self.grid.offset_of(t))
-
     def values_on(self, base: float, lo: int, hi: int) -> np.ndarray:
         """The read-only values at offsets ``[lo, hi]`` of a grid based at ``base``.
 
@@ -127,16 +117,3 @@ def make_grid_function(grid: Grid, f: Callable[[float], float]) -> GridFunction:
 
 def constant_grid_function(grid: Grid, c: float) -> GridFunction:
     return GridFunction(grid, np.full(len(grid), float(c)))
-
-
-def nabla_integral(f: GridFunction, c: float, d: float) -> float:
-    """Definite nabla integral of ``f`` from ``c`` to ``d``.
-
-    Equals ``sum(f(s) for s in (c, d])`` when ``c < d`` and 0 when ``d <= c``.
-    Both endpoints must be grid points of ``f``.
-    """
-    ck = f.grid.offset_of(c)
-    dk = f.grid.offset_of(d)
-    if dk <= ck:
-        return 0.0
-    return sum(f.at(k) for k in range(ck + 1, dk + 1))

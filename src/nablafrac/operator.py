@@ -104,17 +104,6 @@ class FracOperator:
         return bool(np.all(self.p.values == 1.0) and np.all(self.q.values == 0.0))
 
 
-def extend_with_closure(op: FracOperator, x: GridFunction,
-                        closure: GhostClosure) -> GridFunction:
-    """Prepend the N-1 ghost values of ``closure`` to x on [a, b]."""
-    n = op.N
-    x.grid.require_base(op.a)
-    if x.grid.lo != 0:
-        raise ValueError("x must be tabulated on [a, ...]")
-    ghosts = closure.ghost_values(n - 1)[::-1]
-    return GridFunction(Grid(op.a, -(n - 1), x.grid.hi), np.concatenate((ghosts, x.values)))
-
-
 def apply_array(op: FracOperator, x: np.ndarray) -> np.ndarray:
     """(L x)(t) for t in [a+N+1, b] from the values of x on [a-N+1, b].
 
@@ -139,8 +128,3 @@ def apply(op: FracOperator, x: GridFunction) -> GridFunction:
     n = op.N
     b = op.b_offset
     return GridFunction(Grid(op.a, n + 1, b), apply_array(op, x.values_on(op.a, -(n - 1), b)))
-
-
-def leading_coefficient(op: FracOperator, t: float) -> float:
-    """Coefficient of x(t) in (L x)(t): just p(t), the recursion pivot."""
-    return op.p.at(op.q.grid.offset_of(t))  # q's grid is the rows [a+N+1, b]

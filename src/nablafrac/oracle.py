@@ -45,9 +45,6 @@ class DenseSystem:
     def lo(self) -> int:
         return -(self.N - 1)
 
-    def column_of(self, offset: int) -> int:
-        return offset - self.lo
-
 
 def _system(op: FracOperator, h: GridFunction, rows: list, rhs: list) -> DenseSystem:
     """The given leading rows, then (L x)(t) = h(t) for t in [N+1, b] as one block.

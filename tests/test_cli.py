@@ -333,6 +333,19 @@ class TestVerify:
         # and the answer verify passed is right: a 60-digit solve agrees
         assert mp_gap(cfg) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_growing_answer_is_judged_by_its_scaled_residual(self, tmp_path, capsys, seed):
+        # x grows to 2e7 (seed 0) and 3e8 (seed 7), so rounding alone leaves
+        # ||Lx - h|| above 1e-8; over ||L|| ||x|| + ||h|| it is about 2e-17
+        cfg = variable_ivp_config(np.random.default_rng(seed), 2.5, 32)
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line.startswith("check 1: ivp-equation-residual") and line.endswith("PASS")
+        absolute, scaled = (float(v.split(" ")[-1]) for v in line.split(" (")[0].split(", "))
+        assert absolute > 1e-8 and scaled < 1e-15
+        # and the answer verify passed is right: a 60-digit solve agrees
+        assert mp_gap(cfg) <= 1e-14
+
     def test_oracle_solves_what_a_small_pivot_made_look_singular(self, tmp_path, capsys):
         # an elimination that refused pivots below 1e-13 ||A|| called this
         # system singular (pivot 9.3e-13), but its cond_1 is 2.9e13, below
@@ -364,8 +377,9 @@ class TestVerify:
 
     def test_zero_answer_has_zero_relative_gap(self, tmp_path, capsys):
         assert main(["verify", "--config", write_config(tmp_path, ivp_config(h=0.0))]) == 0
-        line = capsys.readouterr().out.splitlines()[2]
-        assert "max gap 0.000e+00, over max|x| 0.000e+00" in line and "PASS" in line
+        lines = capsys.readouterr().out.splitlines()
+        assert "max residual 0.000e+00, scaled 0.000e+00" in lines[1] and "PASS" in lines[1]
+        assert "max gap 0.000e+00, over max|x| 0.000e+00" in lines[2] and "PASS" in lines[2]
 
     def test_env_tolerance_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("NABLA_GREEN_TOL", "1e-2")
@@ -469,6 +483,19 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert "verify" in done.stdout
+
+
+def test_problem_too_big_for_memory_exits_one(monkeypatch, capsys):
+    # b = 1e12 asks numpy for terabytes; raise what it raises instead of allocating
+    def too_big(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "conjugate_greens_closed_form", too_big)
+    assert main(["greens", "--conjugate", "a=0", "b=1e12", "nu=1.5"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: problem too big for memory: "
+                                    "Unable to allocate 7.28 TiB for an array"]
 
 
 def test_closed_stdout_exits_one_without_a_traceback():

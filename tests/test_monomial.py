@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from nablafrac import kernel_weights, rising, taylor_monomial
+from nablafrac import kernel_weights, taylor_monomial
 
 
 def gamma_ratio(m, nu):
@@ -13,32 +13,6 @@ def gamma_ratio(m, nu):
 
 def monomial_oracle(m, nu):
     return gamma_ratio(m, nu) / math.gamma(nu + 1.0)
-
-
-def test_rising_half_order():
-    assert rising(3, 0.5) == pytest.approx(gamma_ratio(3, 0.5), rel=1e-14)
-    assert rising(3, 0.5) == pytest.approx(1.6616754852, rel=1e-9)
-
-
-def test_rising_zero_convention_below_one():
-    assert rising(-1, 1.5) == 0.0
-    assert rising(0, 0.5) == 0.0
-    assert rising(-4, 2.7) == 0.0
-
-
-def test_rising_integer_order_is_polynomial():
-    assert rising(2, 3) == 24.0  # 2*3*4
-    assert rising(-1, 3) == 0.0  # (-1)*0*1, polynomial form below 1
-    assert rising(-3, 2) == 6.0  # (-3)*(-2)
-    assert rising(5, 0) == 1.0
-
-
-def test_rising_negative_integer_order():
-    # Gamma(m+nu)/Gamma(m) = 1/((m-1)...(m+nu))
-    assert rising(5, -2) == pytest.approx(1.0 / (4 * 3), rel=1e-14)
-    assert rising(-2, -1) == 0.0
-    with pytest.raises(ValueError):
-        rising(2, -2)  # gamma pole
 
 
 def test_monomial_is_one_at_first_step():

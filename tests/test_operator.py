@@ -11,8 +11,6 @@ from nablafrac import (
     apply,
     caputo_difference,
     constant_grid_function,
-    extend_with_closure,
-    leading_coefficient,
     taylor_monomial,
 )
 from nablafrac.operator import apply_array
@@ -174,45 +172,16 @@ class TestApply:
 
 class TestGhostClosure:
     def test_zero_closure_prepends_zeros(self):
-        op = FracOperator.constant(0.0, 1.5, 6)
-        x = constant_grid_function(Grid(0.0, 0, 6), 2.0)
-        ext = extend_with_closure(op, x, GhostClosure.zero())
-        assert ext.grid.lo == -1 and ext.at(-1) == 0.0
-        assert ext.at(3) == 2.0
+        assert GhostClosure.zero().ghost_values(2) == (0.0, 0.0)
 
     def test_explicit_closure_order(self):
-        op = FracOperator.constant(0.0, 2.5, 8)
-        x = constant_grid_function(Grid(0.0, 0, 8), 0.0)
-        ext = extend_with_closure(op, x, GhostClosure.explicit(7.0, 9.0))
-        assert ext.at(-1) == 7.0 and ext.at(-2) == 9.0
+        # values run x(a-1), x(a-2), ...
+        assert GhostClosure.explicit(7.0, 9.0).ghost_values(2) == (7.0, 9.0)
 
     def test_no_ghosts_for_order_below_one(self):
-        op = FracOperator.constant(0.0, 0.5, 6)
-        x = constant_grid_function(Grid(0.0, 0, 6), 1.0)
-        ext = extend_with_closure(op, x, GhostClosure.zero())
-        assert ext.values.tobytes() == x.values.tobytes() and ext.grid == x.grid
+        assert GhostClosure.zero().ghost_values(0) == ()
+        assert GhostClosure.explicit().ghost_values(0) == ()
 
     def test_wrong_explicit_count_rejected(self):
-        op = FracOperator.constant(0.0, 1.5, 6)
-        x = constant_grid_function(Grid(0.0, 0, 6), 1.0)
-        with pytest.raises(ValueError):
-            extend_with_closure(op, x, GhostClosure.explicit(1.0, 2.0))
-
-    def test_x_must_start_at_the_base(self):
-        op = FracOperator.constant(0.0, 1.5, 6)
-        x = constant_grid_function(Grid(0.0, 1, 6), 1.0)
-        with pytest.raises(ValueError, match=r"\[a, \.\.\.\]"):
-            extend_with_closure(op, x, GhostClosure.zero())
-
-
-class TestLeadingCoefficient:
-    def test_is_p(self, rng):
-        op = random_operator(rng, 0.0, 1.5, 9)
-        for t in range(3, 10):
-            assert leading_coefficient(op, float(t)) == op.p.at(t)
-            assert leading_coefficient(op, float(t)) > 0.0
-
-    def test_out_of_range_rejected(self):
-        op = FracOperator.constant(0.0, 1.5, 9)
-        with pytest.raises(ValueError):
-            leading_coefficient(op, 2.0)  # first equation row is a + N + 1 = 3
+        with pytest.raises(ValueError, match="has 2 values, need 1"):
+            GhostClosure.explicit(1.0, 2.0).ghost_values(1)

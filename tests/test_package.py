@@ -14,6 +14,11 @@ def test_every_exported_name_resolves():
     assert [name for name in nablafrac.__all__ if not hasattr(nablafrac, name)] == []
 
 
+def test_readme_documents_every_exported_name():
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in nablafrac.__all__ if f"`{name}`" not in readme] == []
+
+
 def _span_metrics():
     """(metric, span) for every per-layer metric of the form <module>.<function>.<field>."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
