@@ -1,6 +1,10 @@
 """(N,1) boundary value problems: the boundary functionals as one matrix
-(:func:`boundary_rows`), the D-matrix, solvability detection, and solution
-assembly through the one D solve that ``solve_bvp`` and ``build_greens`` share."""
+(:func:`boundary_rows`), the D-matrix, and the bordered system that
+``solve_bvp`` and ``build_greens`` share.  Its unknowns are x on
+[a-N+1, b] and the basis coefficients c; its rows are x - sum_k c_k x_k
+= 0 on the window [a-N+1, a+N], the boundary rows and the equation rows.
+Only the basis's window enters, so its growth does not, and the system
+is singular exactly when det D = 0."""
 
 from __future__ import annotations
 
@@ -10,14 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NearSingularError
 from .grid import Grid, GridFunction
-from .ivp import InitialConditions, homogeneous_basis, solve_ivp
+from .ivp import homogeneous_basis
 from .linalg import gauss_solve
-from .operator import FracOperator
+from .operator import FracOperator, apply_array
 
 _RANK_TOL = 1e-10
-_NEAR_SINGULAR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -107,53 +109,53 @@ class DMatrix:
     def det(self) -> float:
         return float(np.linalg.det(self.entries))
 
-    def is_near_singular(self) -> bool:
-        row_norms = np.max(np.abs(self.entries), axis=1)
-        scale = float(np.prod(np.maximum(row_norms, 1e-300)))
-        return abs(self.det) < _NEAR_SINGULAR_TOL * scale
 
-
-def assemble_d(basis: Sequence[GridFunction], spec: BoundarySpec,
-               op: FracOperator) -> DMatrix:
-    """The (N+1) x (N+1) matrix of boundary functionals: entry (i, k) is row i applied to x_k."""
+def _basis_on(basis: Sequence[GridFunction], spec: BoundarySpec, op: FracOperator,
+              hi: int) -> np.ndarray:
+    """The basis on offsets [1-N, hi], one row per function, once spec and basis fit op."""
     n = spec.N
     if n != op.N:
         raise ValueError(f"spec has N={n} but operator has N={op.N}")
     if len(basis) != n + 1:
         raise ValueError(f"need {n + 1} basis functions, got {len(basis)}")
-    vals = basis_values(basis, Grid(op.a, -(n - 1), op.b_offset))
-    return DMatrix(boundary_rows(spec, op.b_offset) @ vals.T)
+    return np.array([x.values_on(op.a, 1 - n, hi) for x in basis])
 
 
-def _span_solve(op: FracOperator, spec: BoundarySpec, basis: Sequence[GridFunction],
-                rhs: np.ndarray) -> np.ndarray:
-    """sum_k c_k x_k on [a-N+1, b] for D c = rhs.
+def assemble_d(basis: Sequence[GridFunction], spec: BoundarySpec,
+               op: FracOperator) -> DMatrix:
+    """The (N+1) x (N+1) matrix of boundary functionals: entry (i, k) is row i applied to x_k."""
+    return DMatrix(boundary_rows(spec, op.b_offset) @ _basis_on(basis, spec, op, op.b_offset).T)
 
-    Raises :class:`NearSingularError` when det D vanishes at tolerance.
+
+def _bordered_solve(op: FracOperator, spec: BoundarySpec, basis: Sequence[GridFunction],
+                    h: np.ndarray, values) -> np.ndarray:
+    """x on [a-N+1, b] with L x = h on [a+N+1, b] and the boundary rows of
+    ``spec`` equal to ``values``, within the span of ``basis``.
+
+    ``h`` and ``values`` may hold one column per problem.  Raises
+    :class:`NearSingularError` when cond_1 * eps >= 1.
     """
-    d = assemble_d(basis, spec, op)
-    if d.is_near_singular():
-        raise NearSingularError(f"boundary matrix is singular at tolerance (det = {d.det:.3e})")
-    grid = Grid(op.a, -(op.N - 1), op.b_offset)
-    return gauss_solve(d.entries, rhs) @ basis_values(basis, grid)
+    n, m = op.N, op.b_offset + op.N
+    matrix = np.zeros((m + n + 1, m + n + 1))
+    matrix[:2 * n, :2 * n] = np.eye(2 * n)
+    matrix[:2 * n, m:] = -_basis_on(basis, spec, op, n).T
+    matrix[2 * n:3 * n + 1, :m] = boundary_rows(spec, op.b_offset)
+    matrix[3 * n + 1:, :m] = apply_array(op, np.eye(m))
+    rhs = np.concatenate((np.zeros((2 * n,) + h.shape[1:]), values, h))
+    return gauss_solve(matrix, rhs)[:m]
 
 
 def solve_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
               basis: Sequence[GridFunction] | None = None) -> GridFunction:
     """Solve L x = h subject to ``spec`` within the span of ``basis``.
 
-    x = x_p + sum a_k x_k with x_p the zero-data IVP solution and the
-    a_k from D a = spec.values - boundary_rows @ x_p.  Defaults to the
-    numeric identity-IC basis (zero ghost closure).  Raises
-    :class:`NearSingularError` when det D vanishes at tolerance.
+    One bordered solve, with right-hand side (0, spec.values, h).
+    Defaults to the numeric identity-IC basis (zero ghost closure).
+    Raises :class:`NearSingularError` when the system is singular to
+    working precision; in exact arithmetic it is singular iff det D = 0.
     """
     if basis is None:
         basis = homogeneous_basis(op)
-    xp = solve_ivp(op, h, InitialConditions.zeros(op.N))
-    rhs = np.array(spec.values) - boundary_rows(spec, op.b_offset) @ xp.values
-    return GridFunction(xp.grid, xp.values + _span_solve(op, spec, basis, rhs))
-
-
-def basis_values(basis: Sequence[GridFunction], grid: Grid) -> np.ndarray:
-    """The basis tabulated on ``grid``: one row per basis function."""
-    return np.array([x.values_on(grid.base, grid.lo, grid.hi) for x in basis])
+    n, b = op.N, op.b_offset
+    x = _bordered_solve(op, spec, basis, h.values_on(op.a, n + 1, b), spec.values)
+    return GridFunction(Grid(op.a, 1 - n, b), x)

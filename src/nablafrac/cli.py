@@ -306,11 +306,6 @@ def cmd_greens(args) -> int:
     return 0
 
 
-def _boundary_gap(x: GridFunction, spec: BoundarySpec, op: FracOperator) -> float:
-    xs = x.values_on(op.a, -(op.N - 1), op.b_offset)
-    return float(np.max(np.abs(boundary_rows(spec, op.b_offset) @ xs - spec.values)))
-
-
 def _absolute(value: float) -> tuple[float, str]:
     return value, f"max residual {value:.3e}"
 
@@ -320,17 +315,24 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den else math.inf if num else 0.0
 
 
-def _scaled_residual(op: FracOperator, x: GridFunction, h: GridFunction,
-                     eq_rows: np.ndarray) -> tuple[float, str]:
-    """||Lx - h|| / (||L|| ||x|| + ||h||) in the inf-norm, then a report.
+def _scaled(res: float, matrix: np.ndarray, x: np.ndarray, rhs) -> tuple[float, str]:
+    """res / (||matrix|| ||x|| + ||rhs||) in the inf-norm, then a report of both.
 
-    ``eq_rows`` is L as the dense equation-row matrix, so ||L|| is its
-    largest absolute row sum; x covers its columns and h its rows.
+    ||matrix|| is its largest absolute row sum; x covers its columns and
+    rhs its rows.
     """
-    res = residual(op, x, h)
-    size = np.abs(eq_rows).sum(axis=1).max() * np.abs(x.values).max() + np.abs(h.values).max()
+    size = np.abs(matrix).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
     scaled = _ratio(res, float(size))
     return scaled, f"max residual {res:.3e}, scaled {scaled:.3e}"
+
+
+def _boundary_residual(x: GridFunction, spec: BoundarySpec,
+                       op: FracOperator) -> tuple[float, str]:
+    """||Bx - c||, scaled, with B = boundary_rows and c the boundary values."""
+    rows = boundary_rows(spec, op.b_offset)
+    xs = x.values_on(op.a, -(op.N - 1), op.b_offset)
+    gap = float(np.max(np.abs(rows @ xs - spec.values)))
+    return _scaled(gap, rows, xs, spec.values)
 
 
 def _relative_gap(x: GridFunction, ref: GridFunction) -> tuple[float, str]:
@@ -343,10 +345,11 @@ def _relative_gap(x: GridFunction, ref: GridFunction) -> tuple[float, str]:
 def _verify_checks(cfg: dict):
     """Yield (name, measured, report, tolerance-scale) tuples.
 
-    The verdict reads ``measured``: the equation residuals are scaled by
-    ||L|| ||x|| + ||h||, and the agreement checks measure their gap
-    relative to max|x| of the reference answer; ``report`` also gives the
-    absolute value.  The config is validated before the first check.
+    The verdict reads ``measured``: the equation and boundary residuals
+    are scaled by ||L|| ||x|| + ||h|| and ||B|| ||x|| + ||c||, with L
+    the oracle's equation rows, and the agreement checks measure their
+    gap relative to max|x| of the reference answer; ``report`` also
+    gives the absolute value.  The config is validated before the first check.
     """
     op = build_operator(cfg)
     h = build_forcing(cfg, op)
@@ -365,17 +368,21 @@ def _verify_checks(cfg: dict):
     else:
         raise ConfigError("problem.type", f"unknown type {kind!r}")
     eq_rows = dense_sys.matrix[2 * op.N:]
+
+    def equation_residual(x):
+        return _scaled(residual(op, x, h), eq_rows, x.values, h.values)
+
     probe_gap = float(np.max(np.abs(probe_equation_rows(op) - eq_rows)))
     yield "probe-vs-symbolic-rows", *_absolute(probe_gap), 1e-10
 
     if kind == "ivp":
         x = solve_ivp(op, h, ic)
-        yield "ivp-equation-residual", *_scaled_residual(op, x, h, eq_rows), None
+        yield "ivp-equation-residual", *equation_residual(x), None
         yield "ivp-oracle-agreement", *_relative_gap(x, dense_solve(dense_sys)), None
     elif kind == "bvp":
         x = solve_bvp(op, h, spec)
-        yield "bvp-equation-residual", *_scaled_residual(op, x, h, eq_rows), None
-        yield "bvp-boundary-residual", *_absolute(_boundary_gap(x, spec, op)), None
+        yield "bvp-equation-residual", *equation_residual(x), None
+        yield "bvp-boundary-residual", *_boundary_residual(x, spec, op), None
         yield "bvp-oracle-agreement", *_relative_gap(x, dense_solve(dense_sys)), None
     else:
         spec = BoundarySpec.conjugate()
@@ -384,8 +391,8 @@ def _verify_checks(cfg: dict):
         closed = conjugate_greens_closed_form(op.a, op.b, op.nu)
         yield "greens-closed-form-agreement", *_absolute(compare_greens(built, closed)), 1e-10
         x = greens_solve(built, h)
-        yield "greens-equation-residual", *_scaled_residual(op, x, h, eq_rows), None
-        yield "greens-boundary-residual", *_absolute(_boundary_gap(x, spec, op)), None
+        yield "greens-equation-residual", *equation_residual(x), None
+        yield "greens-boundary-residual", *_boundary_residual(x, spec, op), None
         yield "greens-vs-bvp-agreement", *_relative_gap(x, solve_bvp(op, h, spec, basis)), None
 
 

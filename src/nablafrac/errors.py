@@ -6,7 +6,8 @@ class OffGridError(ValueError):
 
 
 class NearSingularError(ValueError):
-    """The boundary-condition matrix D is singular to working precision; the
+    """The bordered BVP system is singular to working precision
+    (cond_1 * eps >= 1).  It is singular exactly when det D = 0, when the
     homogeneous BVP admits nontrivial solutions in the basis span."""
 
 
@@ -15,5 +16,5 @@ class DegenerateDenominatorError(ValueError):
 
 
 class SingularSystemError(ValueError):
-    """A dense system is singular to working precision: the D solve's
-    elimination met a vanishing pivot, or the oracle's cond_1 * eps >= 1."""
+    """The dense oracle's system is singular to working precision
+    (cond_1 * eps >= 1)."""

@@ -7,9 +7,9 @@ equals u on every cell where u is stated, and G is v on every cell.
 ``branch`` names the stated piece of each cell and flags the cells
 outside both regions ``u*``; comparisons quantify only over the stated
 region.  The t range is extended down to a-N+1 so that operator residual
-checks are possible.  The generic builder shares the D solve of
-:mod:`nablafrac.bvp` and takes r(s) from the last row of
-:func:`~nablafrac.bvp.boundary_rows`.
+checks are possible.  The generic builder takes G from the bordered
+system of :mod:`nablafrac.bvp`, with the identity on its equation rows,
+and u = G - x(t, s).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bvp import BoundarySpec, _span_solve, boundary_rows
+from .bvp import BoundarySpec, _bordered_solve
 from .errors import DegenerateDenominatorError, OffGridError
 from .fraccalc import FracOrder
 from .grid import Grid, GridFunction, point_offset
@@ -88,19 +88,17 @@ def build_greens(op: FracOperator, spec: BoundarySpec,
                  basis: Sequence[GridFunction]) -> GreensFunction:
     """Construct G for the homogeneous part of ``spec`` over ``basis``.
 
-    For each s, u(., s) solves the homogeneous equation with zero left
-    boundary conditions and right condition equal to minus the right
-    boundary functional r(s) of the Cauchy column; v = u + Cauchy column.
-    Only the last boundary value depends on s, so one solve of D c = e_N
-    gives every column: u(., s) = -r(s) * sum_k c_k x_k.
+    Column s of G solves L x = e_s with zero boundary values within the
+    span of ``basis``, so one bordered solve with the identity on the
+    equation rows gives every column; u = G - x(t, s), with x the
+    Cauchy function.  Raises :class:`NearSingularError` as ``solve_bvp``
+    does.
     """
     n = op.N
     b = op.b_offset
-    combo = _span_solve(op, spec, basis, np.eye(n + 1)[n])
-    cf = cauchy_function(op)
-    r = boundary_rows(spec, b)[n] @ cf.values
-    u = -np.outer(combo, r)
-    return GreensFunction(op.a, op.nu, n, b, u, u + cf.values, _branch_table(n, b))
+    g = _bordered_solve(op, spec, basis, np.eye(b - n), np.zeros((n + 1, b - n)))
+    return GreensFunction(op.a, op.nu, n, b, g - cauchy_function(op).values, g,
+                          _branch_table(n, b))
 
 
 def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunction:

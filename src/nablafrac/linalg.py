@@ -1,52 +1,43 @@
-"""Small dense linear algebra: Gaussian elimination with partial pivoting.
+"""Dense linear algebra: one LAPACK LU that refuses a singular system.
 
-Its one caller is the (N+1)x(N+1) D solve of the structured BVP and
-Green's function solvers, where a plain elimination that refuses a
-vanishing pivot is all that is warranted.  The dense oracle solves with
-LAPACK instead.
+Its one caller is the bordered system of :mod:`nablafrac.bvp`, which
+``solve_bvp`` and ``build_greens`` share.  ``numpy.linalg.solve`` runs
+Gaussian elimination with partial pivoting; the refusal rule is the
+dense oracle's, cond_1 * eps >= 1, though the oracle keeps its own copy
+of it so that it stays independent of the solvers.
 """
 
 from __future__ import annotations
 
+from math import inf
+
 import numpy as np
 
-from .errors import SingularSystemError
-
-# a pivot below this times ||matrix||_inf (at least 1) is refused
-_SINGULAR_TOL = 1e-13
+from .errors import NearSingularError
 
 
 def gauss_solve(matrix, rhs) -> np.ndarray:
-    """Solve a square dense system by partial-pivot elimination.
+    """Solve ``matrix @ x = rhs`` for one right-hand side or a block of them.
 
-    Raises :class:`SingularSystemError` when a pivot falls below
-    ``_SINGULAR_TOL * max(||matrix||_inf, 1)``.
+    One partial-pivot LU of ``[rhs | I]`` gives x and A^-1, so cond_1 =
+    ||A||_1 ||A^-1||_1 needs no second one.  Raises
+    :class:`NearSingularError`, naming cond_1, unless cond_1 * eps < 1
+    (a zero pivot or a NaN fails it too).
     """
-    a = np.array(matrix, dtype=float)
-    b = np.array(rhs, dtype=float)
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(rhs, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise ValueError("rhs length does not match matrix")
-    n = a.shape[0]
-    norm = np.max(np.sum(np.abs(a), axis=1))
-    pivots = np.empty(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        pivots[k] = a[k, k]
-        if a[k, k] != 0.0:
-            lam = a[k + 1:, k] / a[k, k]
-            rows = np.flatnonzero(lam)  # a zero multiplier leaves its row untouched
-            a[k + 1 + rows, k:] -= lam[rows, None] * a[k, k:]
-            b[k + 1 + rows] -= lam[rows] * b[k]
-    if np.min(np.abs(pivots)) < _SINGULAR_TOL * max(norm, 1.0):
-        raise SingularSystemError(
-            f"pivot {np.min(np.abs(pivots)):.3e} below tolerance for matrix norm {norm:.3e}"
+    n = len(a)
+    try:
+        sol = np.linalg.solve(a, np.column_stack((b, np.eye(n))))
+        cond = float(np.linalg.norm(a, 1)) * float(np.linalg.norm(sol[:, -n:], 1))
+    except np.linalg.LinAlgError:
+        cond = inf
+    if not cond * np.finfo(float).eps < 1.0:
+        raise NearSingularError(
+            f"system is singular to working precision: condition number {cond:.3e}"
         )
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x
+    return sol[:, :-n].reshape(b.shape)

@@ -5,8 +5,8 @@ structured solvers.
 The equation rows are one block built symbolically by index: a scalar
 ``taylor_monomial`` per kernel offset, broadcast over the lags, times the
 binomial weights of nabla^N.  Neither ``kernel_weights`` nor a solver is
-used, so this is a genuine oracle.  The system is solved by one LAPACK LU
-(``numpy.linalg.solve``), not by the package's own elimination.
+used, so this is a genuine oracle.  The system is solved by its own
+LAPACK LU (``numpy.linalg.solve``), never through ``linalg.gauss_solve``.
 ``probe_equation_rows`` (``apply_array`` on the identity) is a third
 implementation for mutual agreement tests.
 """

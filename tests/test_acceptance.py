@@ -149,12 +149,14 @@ def test_criterion_06_operator_residuals(capsys):
 def test_criterion_07_d_matrix_determinant(capsys):
     from nablafrac import assemble_d
 
+    rng = np.random.default_rng(37)
     for b in range(4, 21):
         op = FracOperator.constant(0.0, 1.5, b)
-        d = assemble_d(homogeneous_basis(op, analytic=True), BoundarySpec.conjugate(), op)
+        basis = homogeneous_basis(op, analytic=True)
+        d = assemble_d(basis, BoundarySpec.conjugate(), op)
         expected = taylor_monomial(b, 1.5) - b
         assert abs(d.det - expected) <= 1e-12 * abs(expected)
-        assert not d.is_near_singular()
+        solve_bvp(op, random_forcing(rng, op), BoundarySpec.conjugate(), basis)  # not refused
     _report(capsys, 7, "conjugate determinant hand expansion, 1e-12 relative")
 
 

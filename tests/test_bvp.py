@@ -21,7 +21,7 @@ from nablafrac import (
     taylor_monomial,
     zero_forcing,
 )
-from conftest import max_gap, random_forcing, random_operator
+from conftest import max_gap, mp_solve_bvp, random_forcing, random_operator
 
 
 def functionals(x, alpha_row=(1.0, 0.0, 0.0), beta=(1.0, 0.0, 0.0)):
@@ -166,10 +166,11 @@ class TestDMatrix:
     def test_conjugate_determinant_hand_expansion(self):
         for b in range(4, 21):
             op = FracOperator.constant(0.0, 1.5, b)
-            d = assemble_d(homogeneous_basis(op, analytic=True), BoundarySpec.conjugate(), op)
+            basis = homogeneous_basis(op, analytic=True)
+            d = assemble_d(basis, BoundarySpec.conjugate(), op)
             expected = taylor_monomial(b, 1.5) - b
             assert d.det == pytest.approx(expected, rel=1e-12)
-            assert not d.is_near_singular()
+            solve_bvp(op, zero_forcing(op), BoundarySpec.conjugate(), basis)  # not refused
 
     def test_numeric_basis_top_rows_are_alpha_rows(self, rng):
         # identity initial data makes row i of D equal alpha row i
@@ -199,7 +200,8 @@ class TestDMatrix:
         basis[1] = GridFunction(basis[1].grid, (0.0,) * len(basis[1].grid))
         d = assemble_d(basis, BoundarySpec.conjugate(), op)
         assert d.det == 0.0
-        assert d.is_near_singular()
+        with pytest.raises(NearSingularError, match="condition number"):
+            solve_bvp(op, zero_forcing(op), BoundarySpec.conjugate(), basis)
 
 
 class TestSolveBvp:
@@ -281,3 +283,33 @@ class TestSolveBvp:
         d = assemble_d(basis, spec, op)
         _, svals, _ = np.linalg.svd(d.entries)
         assert (abs(d.det) < 1e-10) == (svals[-1] < 1e-10)
+
+
+class TestAgainst50Digits:
+    """solve_bvp against the 50-digit superposition built from the definitions."""
+
+    @pytest.mark.parametrize("b", [12, 40])
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5])
+    def test_variable_coefficients_general_rows(self, rng, nu, b):
+        op = random_operator(rng, 0.0, nu, b)
+        h = random_forcing(rng, op)
+        n = op.N
+        spec = BoundarySpec(tuple(map(tuple, rng.uniform(-2, 2, (n, n + 1)))),
+                            tuple(rng.uniform(-1, 1, n)), tuple(rng.uniform(-2, 2, n + 1)),
+                            float(rng.uniform(-1, 1)))
+        ref = mp_solve_bvp(op, spec, h.values)
+        x = solve_bvp(op, h, spec).values
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5])
+    def test_growing_basis(self, rng, nu):
+        # q = -1 makes the basis grow by orders of magnitude over [a, b]
+        # while x stays O(1): what single shooting lost to cancellation
+        op = FracOperator.constant(0.0, nu, 40, q=-1.0)
+        n = op.N
+        spec = BoundarySpec(tuple(tuple(np.eye(n + 1)[i]) for i in range(n)),
+                            tuple(rng.uniform(-1, 1, n)), tuple(np.eye(n + 1)[0]), 0.5)
+        h = random_forcing(rng, op)
+        ref = mp_solve_bvp(op, spec, h.values)
+        x = solve_bvp(op, h, spec).values
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))

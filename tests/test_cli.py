@@ -12,7 +12,7 @@ from nablafrac import (FracOperator, Grid, GridFunction, cauchy_function,
                        conjugate_greens_closed_form, solve_ivp, taylor_monomial)
 from nablafrac import cli
 from nablafrac.cli import _fmt, main
-from conftest import mp_solve_ivp
+from conftest import mp_solve_bvp, mp_solve_ivp
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -184,9 +184,9 @@ class TestSolveBvp:
         }
         assert main(["solve-bvp", "--config", write_config(tmp_path, cfg)]) == 1
 
-    def test_singular_system_exits_two(self, tmp_path, capsys):
-        # q = -1 makes the basis grow to ~1e15, so the D solve hits a
-        # pivot below its tolerance
+    def test_growing_basis_is_solved(self, tmp_path):
+        # q = -1 makes the basis grow to 5.5e14 while x stays O(1); the
+        # bordered solve reads only the basis's initial window (cond_1 ~ 1e2)
         cfg = ivp_config(b_offset=30, nu=2.5, q=-1.0)
         cfg["problem"] = {
             "type": "bvp",
@@ -195,8 +195,26 @@ class TestSolveBvp:
             "beta": [1.0, 0.0, 0.0, 0.0],
             "B": 0.0,
         }
+        out = tmp_path / "x.csv"
+        assert main(["solve-bvp", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        x = np.array([float(row[2]) for row in read_csv(str(out))[1]])
+        op = cli.build_operator(cfg)
+        ref = mp_solve_bvp(op, cli.build_boundary_spec(cfg["problem"], op),
+                           cli.build_forcing(cfg, op).values)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_singular_d_exits_two(self, tmp_path, capsys):
+        # constants solve L x = 0 when q = 0 and meet both difference rows,
+        # so det D = 0: the problem has no unique solution
+        cfg = ivp_config(nu=0.6)
+        cfg["problem"] = {"type": "bvp", "alpha": [[0.0, 1.0]], "A": [0.0],
+                          "beta": [0.0, 1.0], "B": 0.0}
         assert main(["solve-bvp", "--config", write_config(tmp_path, cfg)]) == 2
-        assert "pivot" in capsys.readouterr().err
+        out = capsys.readouterr()
+        lines = out.err.splitlines()
+        assert out.out == "" and len(lines) == 1
+        assert lines[0].startswith("error: ") and "condition number" in lines[0]
 
 
 class TestGreens:
@@ -346,6 +364,19 @@ class TestVerify:
         # and the answer verify passed is right: a 60-digit solve agrees
         assert mp_gap(cfg) <= 1e-14
 
+    def test_boundary_residual_is_judged_by_its_scaled_value(self, tmp_path, capsys):
+        # h scaled by 1e8 makes max|x| 6.5e8, so rounding alone leaves ||Bx - c||
+        # near 5e-8; over ||B|| ||x|| + ||c|| it is about 2e-17
+        cfg = variable_ivp_config(np.random.default_rng(3), 0.6, 40)
+        cfg["h"]["values"] = [v * 1e8 for v in cfg["h"]["values"]]
+        cfg["problem"] = {"type": "bvp", "alpha": [[1.0, 2.0]], "A": [0.3],
+                          "beta": [1.0, 0.5], "B": -0.7}
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
+        line = capsys.readouterr().out.splitlines()[2]
+        assert line.startswith("check 2: bvp-boundary-residual") and line.endswith("PASS")
+        absolute, scaled = (float(v.split(" ")[-1]) for v in line.split(" (")[0].split(", "))
+        assert absolute > 1e-8 and scaled < 1e-15
+
     def test_oracle_solves_what_a_small_pivot_made_look_singular(self, tmp_path, capsys):
         # an elimination that refused pivots below 1e-13 ||A|| called this
         # system singular (pivot 9.3e-13), but its cond_1 is 2.9e13, below
@@ -358,9 +389,10 @@ class TestVerify:
         assert mp_gap(cfg) <= 1e-12
 
     def test_wrong_answer_still_fails_the_agreement_check(self, tmp_path, monkeypatch, capsys):
-        # a shift of 1e-6 max|x| keeps the equation rows (q = 0) and, at
-        # this small scale, the boundary rows within 1e-8: only the
-        # oracle agreement can see it
+        # a shift of 1e-6 max|x| keeps the equation rows (q = 0) but not
+        # the boundary rows: an absolute ||Bx - c|| of 7.9e-10 passed it at
+        # this small scale, the scaled one (5e-7) fails it, and so does the
+        # oracle agreement
         solve_bvp = cli.solve_bvp
 
         def shifted(*args):
@@ -370,9 +402,9 @@ class TestVerify:
         monkeypatch.setattr(cli, "solve_bvp", shifted)
         cfg = ivp_config(h=1e-4, problem={"type": "bvp", "alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                                           "A": [0.0, 0.0], "beta": [1.0, 0.0, 0.0], "B": 0.0})
-        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 13
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 12
         out = capsys.readouterr().out
-        assert "check 2: bvp-boundary-residual" in out and "PASS" in out.splitlines()[2]
+        assert "check 2: bvp-boundary-residual" in out and "FAIL" in out.splitlines()[2]
         assert "check 3: bvp-oracle-agreement" in out and "FAIL" in out.splitlines()[3]
 
     def test_zero_answer_has_zero_relative_gap(self, tmp_path, capsys):

@@ -24,7 +24,7 @@ from nablafrac import (
     solve_bvp,
     taylor_monomial,
 )
-from conftest import max_gap, random_forcing, random_operator
+from conftest import max_gap, mp_solve_bvp, random_forcing, random_operator
 
 
 def conjugate_setup(a, b_off, nu):
@@ -145,6 +145,24 @@ class TestBuildGreens:
         op, spec, basis = conjugate_setup(0.0, 9, 1.5)
         with pytest.raises(NearSingularError):
             build_greens(op, spec, (basis[0], basis[0], basis[2]))
+
+
+class TestAgainst50Digits:
+    """G's columns against the 50-digit zero-data BVP solve of L x = e_s."""
+
+    @pytest.mark.parametrize("nu, b, variable", [
+        (1.5, 20, True), (2.5, 20, True),
+        (1.5, 30, False), (2.5, 30, False),  # q = -1: the basis grows to 1e13-6e14
+    ])
+    def test_columns(self, rng, nu, b, variable):
+        op = (random_operator(rng, 0.0, nu, b) if variable
+              else FracOperator.constant(0.0, nu, b, q=-1.0))
+        n = op.N
+        spec = BoundarySpec(tuple(tuple(np.eye(n + 1)[i]) for i in range(n)), (0.0,) * n,
+                            tuple(np.eye(n + 1)[0]), 0.0)
+        g = build_greens(op, spec, homogeneous_basis(op))
+        ref = mp_solve_bvp(op, spec, np.eye(b - n))
+        assert np.max(np.abs(g.G - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestColumn:

@@ -19,12 +19,18 @@ def test_readme_documents_every_exported_name():
     assert [name for name in nablafrac.__all__ if f"`{name}`" not in readme] == []
 
 
-def _span_metrics():
-    """(metric, span) for every per-layer metric of the form <module>.<function>.<field>."""
+def _tracing():
+    """The traced benchmark run's tracer module, ``perfbench/tracing.py``."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def _span_metrics():
+    """(metric, span) for every per-layer metric of the form <module>.<function>.<field>."""
+    tracing = _tracing()
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     for metric in metrics:
         key, _, field = metric["name"].rpartition(".")
@@ -39,3 +45,20 @@ def test_every_per_layer_span_names_a_library_function(metric, span):
     module, name = span.split(".")
     fn = getattr(importlib.import_module(f"nablafrac.{module}"), name, None)
     assert inspect.isfunction(fn) and fn.__module__ == f"nablafrac.{module}", metric
+
+
+def test_traced_solve_bvp_records_a_gauss_solve_span():
+    # the linalg.* per-layer metrics read this span; without it they read 0
+    tracer = _tracing().Tracer()
+    op = nablafrac.FracOperator.constant(0.0, 1.5, 12)
+    tracer.install()
+    try:
+        root = tracer.begin_op("op")
+        nablafrac.solve_bvp(op, nablafrac.zero_forcing(op), nablafrac.BoundarySpec.conjugate())
+        tracer.end_op(root)
+    finally:
+        tracer.uninstall()
+    spans = [(row[0], row[3]) for row in tracer.dump()["spans"]]
+    names = [name for name, _ in spans]
+    assert ("linalg.gauss_solve", names.index("bvp.solve_bvp")) in spans
+    assert tracer.span_table()["linalg.gauss_solve"]["calls"] == 1
