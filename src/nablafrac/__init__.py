@@ -43,6 +43,7 @@ from .greens import (
     greens_solve,
 )
 from .oracle import (
+    DenseSolution,
     DenseSystem,
     assemble_bvp,
     assemble_ivp,
@@ -57,6 +58,7 @@ __all__ = [
     "BoundarySpec",
     "CauchyFunction",
     "DegenerateDenominatorError",
+    "DenseSolution",
     "DenseSystem",
     "FracOperator",
     "FracOrder",

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import Grid, GridFunction
-from .ivp import homogeneous_basis
+from .ivp import InitialConditions, ic_to_values
 from .linalg import gauss_solve
 from .operator import FracOperator, apply_array
 
@@ -110,15 +110,29 @@ class DMatrix:
         return float(np.linalg.det(self.entries))
 
 
+def _require_fit(spec: BoundarySpec, op: FracOperator) -> int:
+    """N, once spec fits op."""
+    if spec.N != op.N:
+        raise ValueError(f"spec has N={spec.N} but operator has N={op.N}")
+    return op.N
+
+
 def _basis_on(basis: Sequence[GridFunction], spec: BoundarySpec, op: FracOperator,
               hi: int) -> np.ndarray:
     """The basis on offsets [1-N, hi], one row per function, once spec and basis fit op."""
-    n = spec.N
-    if n != op.N:
-        raise ValueError(f"spec has N={n} but operator has N={op.N}")
+    n = _require_fit(spec, op)
     if len(basis) != n + 1:
         raise ValueError(f"need {n + 1} basis functions, got {len(basis)}")
     return np.array([x.values_on(op.a, 1 - n, hi) for x in basis])
+
+
+def _numeric_window(spec: BoundarySpec, op: FracOperator) -> np.ndarray:
+    """``homogeneous_basis(op)`` on its window [a-N+1, a+N], one row per
+    function, without solving: zero ghosts, then each unit vector of
+    initial data unfolded."""
+    n = _require_fit(spec, op)
+    return np.array([(0.0,) * (n - 1) + ic_to_values(InitialConditions(e))
+                     for e in np.eye(n + 1)])
 
 
 def assemble_d(basis: Sequence[GridFunction], spec: BoundarySpec,
@@ -127,10 +141,11 @@ def assemble_d(basis: Sequence[GridFunction], spec: BoundarySpec,
     return DMatrix(boundary_rows(spec, op.b_offset) @ _basis_on(basis, spec, op, op.b_offset).T)
 
 
-def _bordered_solve(op: FracOperator, spec: BoundarySpec, basis: Sequence[GridFunction],
-                    h: np.ndarray, values) -> np.ndarray:
+def _bordered_solve(op: FracOperator, spec: BoundarySpec,
+                    basis: Sequence[GridFunction] | None, h: np.ndarray, values) -> np.ndarray:
     """x on [a-N+1, b] with L x = h on [a+N+1, b] and the boundary rows of
-    ``spec`` equal to ``values``, within the span of ``basis``.
+    ``spec`` equal to ``values``, within the span of ``basis`` (``None``:
+    the numeric basis, of which only the window enters).
 
     ``h`` and ``values`` may hold one column per problem.  Raises
     :class:`NearSingularError` when cond_1 * eps >= 1.
@@ -138,7 +153,8 @@ def _bordered_solve(op: FracOperator, spec: BoundarySpec, basis: Sequence[GridFu
     n, m = op.N, op.b_offset + op.N
     matrix = np.zeros((m + n + 1, m + n + 1))
     matrix[:2 * n, :2 * n] = np.eye(2 * n)
-    matrix[:2 * n, m:] = -_basis_on(basis, spec, op, n).T
+    window = _numeric_window(spec, op) if basis is None else _basis_on(basis, spec, op, n)
+    matrix[:2 * n, m:] = -window.T
     matrix[2 * n:3 * n + 1, :m] = boundary_rows(spec, op.b_offset)
     matrix[3 * n + 1:, :m] = apply_array(op, np.eye(m))
     rhs = np.concatenate((np.zeros((2 * n,) + h.shape[1:]), values, h))
@@ -150,12 +166,11 @@ def solve_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
     """Solve L x = h subject to ``spec`` within the span of ``basis``.
 
     One bordered solve, with right-hand side (0, spec.values, h).
-    Defaults to the numeric identity-IC basis (zero ghost closure).
-    Raises :class:`NearSingularError` when the system is singular to
-    working precision; in exact arithmetic it is singular iff det D = 0.
+    Defaults to the numeric identity-IC basis (zero ghost closure),
+    whose window is known without solving an IVP.  Raises
+    :class:`NearSingularError` when the system is singular to working
+    precision; in exact arithmetic it is singular iff det D = 0.
     """
-    if basis is None:
-        basis = homogeneous_basis(op)
     n, b = op.N, op.b_offset
     x = _bordered_solve(op, spec, basis, h.values_on(op.a, n + 1, b), spec.values)
     return GridFunction(Grid(op.a, 1 - n, b), x)

@@ -342,6 +342,17 @@ def _relative_gap(x: GridFunction, ref: GridFunction) -> tuple[float, str]:
     return rel, f"max gap {gap:.3e}, over max|x| {rel:.3e}"
 
 
+def _oracle_gap(x: GridFunction, dense_sys) -> tuple[float, str, float]:
+    """_relative_gap from the dense oracle's answer, with the oracle's cond_1.
+
+    The oracle's own answer may be off by about cond_1 * eps of max|x|,
+    so that is the check's tolerance scale.
+    """
+    ref = dense_solve(dense_sys)
+    rel, report = _relative_gap(x, ref)
+    return rel, f"{report}, oracle cond1 {ref.cond:.3e}", ref.cond * np.finfo(float).eps
+
+
 def _verify_checks(cfg: dict):
     """Yield (name, measured, report, tolerance-scale) tuples.
 
@@ -349,7 +360,10 @@ def _verify_checks(cfg: dict):
     are scaled by ||L|| ||x|| + ||h|| and ||B|| ||x|| + ||c||, with L
     the oracle's equation rows, and the agreement checks measure their
     gap relative to max|x| of the reference answer; ``report`` also
-    gives the absolute value.  The config is validated before the first check.
+    gives the absolute value.  The tolerance is the larger of the
+    configured one and the scale, when there is one: the oracle
+    agreement checks scale by the oracle's cond_1 * eps.  The config is
+    validated before the first check.
     """
     op = build_operator(cfg)
     h = build_forcing(cfg, op)
@@ -378,12 +392,12 @@ def _verify_checks(cfg: dict):
     if kind == "ivp":
         x = solve_ivp(op, h, ic)
         yield "ivp-equation-residual", *equation_residual(x), None
-        yield "ivp-oracle-agreement", *_relative_gap(x, dense_solve(dense_sys)), None
+        yield "ivp-oracle-agreement", *_oracle_gap(x, dense_sys)
     elif kind == "bvp":
         x = solve_bvp(op, h, spec)
         yield "bvp-equation-residual", *equation_residual(x), None
         yield "bvp-boundary-residual", *_boundary_residual(x, spec, op), None
-        yield "bvp-oracle-agreement", *_relative_gap(x, dense_solve(dense_sys)), None
+        yield "bvp-oracle-agreement", *_oracle_gap(x, dense_sys)
     else:
         spec = BoundarySpec.conjugate()
         basis = _greens_basis(op)

@@ -6,7 +6,9 @@ each t; since the Caputo kernel weight at the diagonal is exactly 1, the
 pivot is p(t) > 0 and the recursion never breaks down.  :func:`solve_ivp`
 runs it as a blocked forward substitution over one kernel-weight vector:
 still row by row in order, still O(b^2), with the history before each
-32-row block added once per block;
+32-row block added once per block.  When q is identically 0 it needs no
+rows at all: p times the Caputo value is a running sum of h, and x is
+one convolution of that sum, over p, with the weights of (1-z)^-nu;
 :func:`cauchy_function` still rebuilds each row from scalar monomials and
 stores x(t, s) as one (t, s) array, so :func:`variation_of_constants` is
 one matrix-vector product.
@@ -102,26 +104,39 @@ def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridF
     window [a-N+1, a+N], whose Caputo sums start at a+1, enters that
     array once, through the kernel weights.  O(b^2) time, O(b) memory,
     and no numpy call per row.
+
+    When q is identically 0 the rows telescope instead: p(t) cap(t) =
+    p(N) cap(N) + h(N+1) + ... + h(t), so cap(t) is known for every t at
+    once.  Less the window's part, cap is g convolved with x beyond the
+    window, so x there is that difference convolved with the weights of
+    (1-z)^-nu, the inverse of g: one cumulative sum and one
+    ``np.convolve``, no row loop.
     """
     n = op.N
     b = op.b_offset
     if len(ic.values) != n + 1:
         raise ValueError(f"need {n + 1} initial values, got {len(ic.values)}")
-    # h, p and q indexed by offset; rows run over t in [N+1, b]
-    hv = [0.0] * (n + 1) + h.values_on(op.a, n + 1, b).tolist()
-    p = [0.0] * n + op.p.values.tolist()
-    q = [0.0] * (n + 1) + op.q.values.tolist()
     # x on [1-N, N]: the ghosts, then the unfolded initial values
     x = list(ic.closure.ghost_values(n - 1)[::-1]) + list(ic_to_values(ic))
     # (-1)^i C(N,i) for i = 0..N, the N-th difference newest first
     binom = np.array([(-1) ** i * comb(n, i) for i in range(n + 1)], dtype=float)
     kw = kernel_weights(b, n - op.nu - 1.0)[1:]  # kw[k] = H(k+1)
-    g = np.convolve(kw, binom)[:b]  # g[k]: weight of x(t-k) in cap(t), t-k >= 1
-    g1 = g[1:_BLOCK].tolist()
     # acc[t-1]: the part of cap(t) from the x before t's block.  For the
     # first block that is the window [1-N, N], through the kernel weights
     # and nabla^N x(s) for s in [1, 2N] (only its terms in the window).
     acc = np.convolve(np.convolve(binom, x)[n:], kw)[:b]
+    grid = Grid(op.a, -(n - 1), b)
+    if not op.q.values.any():
+        flux = op.p.values[0] * acc[n - 1] + np.cumsum(h.values_on(op.a, n + 1, b))
+        rest = flux / op.p.values[1:] - acc[n:]
+        inv_g = kernel_weights(b - n, op.nu - 1.0)[1:]  # the weights of (1-z)^-nu
+        return GridFunction(grid, np.concatenate((x, np.convolve(inv_g, rest)[:b - n])))
+    # h, p and q indexed by offset; rows run over t in [N+1, b]
+    hv = [0.0] * (n + 1) + h.values_on(op.a, n + 1, b).tolist()
+    p = [0.0] * n + op.p.values.tolist()
+    q = [0.0] * (n + 1) + op.q.values.tolist()
+    g = np.convolve(kw, binom)[:b]  # g[k]: weight of x(t-k) in cap(t), t-k >= 1
+    g1 = g[1:_BLOCK].tolist()
     cap = float(acc[n - 1])  # cap(N)
     for t0 in range(n + 1, b + 1, _BLOCK):
         t1 = min(t0 + _BLOCK, b + 1)
@@ -134,7 +149,7 @@ def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridF
             xb.insert(0, xt)
         if t1 <= b:
             acc[t1 - 1:] += np.convolve(xb[::-1], g[:b - t0 + 1])[t1 - t0:b + 1 - t0]
-    return GridFunction(Grid(op.a, -(n - 1), b), x)
+    return GridFunction(grid, x)
 
 
 def zero_forcing(op: FracOperator) -> GridFunction:

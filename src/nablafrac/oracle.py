@@ -123,9 +123,17 @@ def assemble_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
     return _system(op, h, rows, rhs)
 
 
-def dense_solve(sys: DenseSystem) -> GridFunction:
+@dataclass(frozen=True, eq=False)
+class DenseSolution(GridFunction):
+    """The oracle's x, with cond_1 of the system it solves."""
+
+    cond: float
+
+
+def dense_solve(sys: DenseSystem) -> DenseSolution:
     """Solve the assembled system by one partial-pivot LU of ``[rhs | I]``,
-    which gives x and A^-1, so cond = ||A||_1 ||A^-1||_1 needs no second one.
+    which gives x and A^-1, so cond = ||A||_1 ||A^-1||_1 needs no second
+    one; x carries it as ``cond``.
 
     Raises :class:`SingularSystemError`, naming cond, unless cond * eps < 1
     (LAPACK's "singular to working precision"; a zero pivot or a NaN
@@ -141,7 +149,7 @@ def dense_solve(sys: DenseSystem) -> GridFunction:
         raise SingularSystemError(
             f"dense system is singular to working precision: condition number {cond:.3e}"
         )
-    return GridFunction(Grid(sys.a, sys.lo, sys.b_offset), sol[:, 0])
+    return DenseSolution(Grid(sys.a, sys.lo, sys.b_offset), sol[:, 0], cond)
 
 
 def residual(op: FracOperator, x: GridFunction, h: GridFunction) -> float:

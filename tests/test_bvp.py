@@ -30,6 +30,13 @@ def functionals(x, alpha_row=(1.0, 0.0, 0.0), beta=(1.0, 0.0, 0.0)):
     return boundary_rows(spec, x.grid.hi) @ x.values
 
 
+def random_spec(rng, n):
+    """General (N,1) rows with random coefficients and values."""
+    return BoundarySpec(tuple(map(tuple, rng.uniform(-2, 2, (n, n + 1)))),
+                        tuple(rng.uniform(-1, 1, n)), tuple(rng.uniform(-2, 2, n + 1)),
+                        float(rng.uniform(-1, 1)))
+
+
 class TestBoundaryEvaluators:
     def test_left_unit_row_picks_endpoint_value(self):
         x = make_grid_function(Grid(0.0, -1, 6), lambda t: t * t + 1)
@@ -191,6 +198,8 @@ class TestDMatrix:
         one_row = BoundarySpec(((1.0, 0.0),), (0.0,), (1.0, 0.0), 0.0)
         with pytest.raises(ValueError, match="N=1 but operator has N=2"):
             assemble_d(basis, one_row, op)
+        with pytest.raises(ValueError, match="N=1 but operator has N=2"):
+            solve_bvp(op, zero_forcing(op), one_row)
         with pytest.raises(ValueError, match="need 3 basis functions, got 2"):
             assemble_d(basis[:2], BoundarySpec.conjugate(), op)
 
@@ -267,6 +276,26 @@ class TestSolveBvp:
         x2 = solve_bvp(op, h, spec, recombined)
         assert max_gap(x1, x2) < 1e-9
 
+    @pytest.mark.parametrize("b", [8, 33, 80])
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
+    def test_default_basis_is_the_numeric_basis_bit_for_bit(self, rng, nu, b):
+        op = random_operator(rng, 0.0, nu, b)
+        h = random_forcing(rng, op)
+        spec = random_spec(rng, op.N)
+        assert (solve_bvp(op, h, spec).values.tobytes()
+                == solve_bvp(op, h, spec, homogeneous_basis(op)).values.tobytes())
+
+    def test_default_basis_needs_no_ivp_solve(self, rng, monkeypatch):
+        # only the numeric basis's window enters, and it is known without solving
+        def refuse(*args):
+            raise AssertionError("solve_ivp called by solve_bvp")
+
+        monkeypatch.setattr("nablafrac.ivp.solve_ivp", refuse)
+        for nu in (0.6, 1.5, 2.5):
+            op = random_operator(rng, 0.0, nu, 30)
+            x = solve_bvp(op, random_forcing(rng, op), random_spec(rng, op.N))
+            assert len(x.values) == 30 + op.N
+
     def test_singular_basis_raises_near_singular(self, rng):
         op = random_operator(rng, 0.0, 1.5, 10)
         basis = homogeneous_basis(op)
@@ -293,10 +322,7 @@ class TestAgainst50Digits:
     def test_variable_coefficients_general_rows(self, rng, nu, b):
         op = random_operator(rng, 0.0, nu, b)
         h = random_forcing(rng, op)
-        n = op.N
-        spec = BoundarySpec(tuple(map(tuple, rng.uniform(-2, 2, (n, n + 1)))),
-                            tuple(rng.uniform(-1, 1, n)), tuple(rng.uniform(-2, 2, n + 1)),
-                            float(rng.uniform(-1, 1)))
+        spec = random_spec(rng, op.N)
         ref = mp_solve_bvp(op, spec, h.values)
         x = solve_bvp(op, h, spec).values
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -388,6 +388,20 @@ class TestVerify:
         assert line.startswith("check 2: ivp-oracle-agreement") and line.endswith("PASS")
         assert mp_gap(cfg) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_gap_within_the_oracles_own_rounding_passes(self, tmp_path, capsys, seed):
+        # nu = 2.5, b = 64: the oracle's system has cond_1 = 1.2e15 (seed 1)
+        # and 4.7e14 (seed 4), and its answer is 2.3e-7 and 1.7e-8 of max|x|
+        # from the solver's, which a 60-digit solve confirms
+        cfg = variable_ivp_config(np.random.default_rng(seed), 2.5, 64)
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
+        line = capsys.readouterr().out.splitlines()[2]
+        assert line.startswith("check 2: ivp-oracle-agreement") and line.endswith("PASS")
+        rel = float(line.split("over max|x| ")[1].split(",")[0])
+        cond = float(line.split("oracle cond1 ")[1].split(" ")[0])
+        assert 1e-8 < rel <= cond * np.finfo(float).eps
+        assert mp_gap(cfg) <= 1e-12
+
     def test_wrong_answer_still_fails_the_agreement_check(self, tmp_path, monkeypatch, capsys):
         # a shift of 1e-6 max|x| keeps the equation rows (q = 0) but not
         # the boundary rows: an absolute ||Bx - c|| of 7.9e-10 passed it at

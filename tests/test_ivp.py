@@ -17,6 +17,7 @@ from nablafrac import (
     frac_integral,
     homogeneous_basis,
     ic_to_values,
+    kernel_weights,
     residual,
     solve_ivp,
     taylor_monomial,
@@ -139,8 +140,8 @@ class TestSolveIvpAgainstOracle:
         assert scaled_ivp_residual(op, h, ic, solve_ivp(op, h, ic)) <= 1e-12
 
 
-def _explicit_ghost_ivp(rng, nu, b):
-    op = random_operator(rng, 0.0, nu, b)
+def _explicit_ghost_ivp(rng, nu, b, **ranges):
+    op = random_operator(rng, 0.0, nu, b, **ranges)
     ic = InitialConditions(tuple(rng.uniform(-1, 1, op.N + 1)),
                            GhostClosure.explicit(*rng.uniform(-1, 1, op.N - 1)))
     return op, random_forcing(rng, op), ic
@@ -168,6 +169,21 @@ class TestSolveIvpAgainstMpmath:
         ref = mp_solve_ivp(op, h, ic)
         assert np.max(np.abs(ref)) > 1e80
         assert _gap_over_max(solve_ivp(op, h, ic), ref) <= 1e-12
+
+
+class TestSolveIvpQZero:
+    """q == 0: a running sum of h and one (1-z)^-nu convolution, no row loop."""
+
+    @pytest.mark.parametrize("solved_rows", [1, 31, 32, 33, 64, None],
+                             ids=["1", "31", "32", "33", "64", "b=320"])
+    @pytest.mark.parametrize("p_range", [(1.0, 1.0), (0.5, 2.0)], ids=["p=1", "variable-p"])
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3, 1 + 1e-9, 2 - 1e-9])
+    def test_against_60_digits(self, rng, nu, p_range, solved_rows):
+        # at b = 320 the row loop was 2.3e-10 of max|x| away for nu = 3.3
+        b = 320 if solved_rows is None else math.ceil(nu) + solved_rows
+        op, h, ic = _explicit_ghost_ivp(rng, nu, b, p_range=p_range, q_range=(0.0, 0.0))
+        assert not op.q.values.any()
+        assert _gap_over_max(solve_ivp(op, h, ic), mp_solve_ivp(op, h, ic)) <= 1e-12
 
 
 class TestSolveIvpIndexing:
@@ -215,6 +231,25 @@ class TestCauchyFunction:
                     assert col.at(t) == pytest.approx(
                         taylor_monomial(t - (s - 1), nu), abs=1e-10
                     )
+        # and the whole array at b = 60, up to N = 4: H_nu(t, rho(s)) is
+        # kernel_weights(b, nu)[t-s+1], zero for t < s
+        b = 60
+        for nu in (0.6, 1.5, 2.5, 3.3):
+            op = FracOperator.constant(0.0, nu, b)
+            lag = np.arange(1 - op.N, b + 1)[:, None] - np.arange(op.N + 1, b + 1) + 1
+            expected = np.where(lag >= 1, kernel_weights(b, nu)[np.maximum(lag, 0)], 0.0)
+            gap = np.max(np.abs(cauchy_function(op).values - expected))
+            assert gap <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
+    def test_constant_coefficients_shift_the_first_column(self, nu):
+        # p and q constant: column s is column N+1 moved up by s-N-1, bit for bit
+        op = FracOperator.constant(0.0, nu, 24, p=1.7, q=-0.4)
+        cf = cauchy_function(op)
+        first = cf.column(op.N + 1).values
+        for s in cf.s_offsets():
+            col = cf.column(s).values
+            assert col.tobytes() == first[:len(col)].tobytes()
 
     def test_general_p_matches_fractional_integral(self, rng):
         # q = 0: x(t, s) = (integral of 1/p of order nu, based at rho(s))(t)
