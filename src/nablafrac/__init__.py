@@ -16,11 +16,12 @@ from .errors import (
 from .grid import Grid, GridFunction, constant_grid_function, make_grid_function
 from .monomial import kernel_weights, taylor_monomial
 from .fraccalc import (
-    FracOrder,
     caputo_difference,
     frac_integral,
+    fractional_order_n,
     nabla,
     nabla_n,
+    order_n,
     rl_difference,
 )
 from .operator import FracOperator, GhostClosure, apply
@@ -61,7 +62,6 @@ __all__ = [
     "DenseSolution",
     "DenseSystem",
     "FracOperator",
-    "FracOrder",
     "GhostClosure",
     "GreensFunction",
     "Grid",
@@ -83,6 +83,7 @@ __all__ = [
     "constant_grid_function",
     "dense_solve",
     "frac_integral",
+    "fractional_order_n",
     "greens_solve",
     "homogeneous_basis",
     "ic_to_values",
@@ -90,6 +91,7 @@ __all__ = [
     "make_grid_function",
     "nabla",
     "nabla_n",
+    "order_n",
     "probe_equation_rows",
     "residual",
     "rl_difference",

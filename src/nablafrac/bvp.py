@@ -1,10 +1,10 @@
 """(N,1) boundary value problems: the boundary functionals as one matrix
-(:func:`boundary_rows`), the D-matrix, and the bordered system that
-``solve_bvp`` and ``build_greens`` share.  Its unknowns are x on
-[a-N+1, b] and the basis coefficients c; its rows are x - sum_k c_k x_k
-= 0 on the window [a-N+1, a+N], the boundary rows and the equation rows.
-Only the basis's window enters, so its growth does not, and the system
-is singular exactly when det D = 0."""
+(:func:`boundary_rows`), the D-matrix (:func:`assemble_d`), and the
+bordered system that ``solve_bvp`` and ``build_greens`` share.  Its
+unknowns are x on [a-N+1, b] and the basis coefficients c; its rows are
+x - sum_k c_k x_k = 0 on the window [a-N+1, a+N], the boundary rows and
+the equation rows.  Only the basis's window enters, so its growth does
+not, and the system is singular exactly when det D = 0."""
 
 from __future__ import annotations
 
@@ -99,17 +99,6 @@ def boundary_rows(spec: BoundarySpec, b: int) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
-class DMatrix:
-    """Boundary functionals of the basis: entry (i, k) applies row i to x_k."""
-
-    entries: np.ndarray
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.entries))
-
-
 def _require_fit(spec: BoundarySpec, op: FracOperator) -> int:
     """N, once spec fits op."""
     if spec.N != op.N:
@@ -136,9 +125,9 @@ def _numeric_window(spec: BoundarySpec, op: FracOperator) -> np.ndarray:
 
 
 def assemble_d(basis: Sequence[GridFunction], spec: BoundarySpec,
-               op: FracOperator) -> DMatrix:
+               op: FracOperator) -> np.ndarray:
     """The (N+1) x (N+1) matrix of boundary functionals: entry (i, k) is row i applied to x_k."""
-    return DMatrix(boundary_rows(spec, op.b_offset) @ _basis_on(basis, spec, op, op.b_offset).T)
+    return boundary_rows(spec, op.b_offset) @ _basis_on(basis, spec, op, op.b_offset).T
 
 
 def _bordered_solve(op: FracOperator, spec: BoundarySpec,

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .bvp import BoundarySpec, boundary_rows, solve_bvp
 from .errors import DegenerateDenominatorError, NearSingularError, SingularSystemError
-from .fraccalc import FracOrder
+from .fraccalc import fractional_order_n
 from .grid import Grid, GridFunction
 from .ivp import InitialConditions, cauchy_function, homogeneous_basis, solve_ivp
 from .greens import build_greens, compare_greens, conjugate_greens_closed_form, greens_solve
@@ -124,7 +124,7 @@ def build_operator(cfg: dict) -> FracOperator:
     b_off = _require(cfg, "b_offset", int)
     nu = float(_require(cfg, "nu", (int, float)))
     try:
-        n = FracOrder.fractional(nu).N
+        n = fractional_order_n(nu)
     except ValueError as exc:
         raise ConfigError("nu", str(exc))
     if b_off < n + 1:

@@ -5,15 +5,15 @@ tabulated on exactly the offsets where its defining formula makes sense;
 there is no silent zero-padding.  Every fractional sum, and through it
 every Riemann-Liouville and Caputo difference, is one ``np.convolve``
 with the kernel weights of :func:`~nablafrac.monomial.kernel_weights`.
-:class:`FracOrder` is the one place that checks an order ``nu`` (finite
-and above 0) and maps it to ``N = ceil(nu)``; base points go through
-:func:`~nablafrac.grid.point_offset`.
+:func:`order_n` is the one place that checks an order ``nu`` (finite
+and above 0) and maps it to ``N = ceil(nu)``, and
+:func:`fractional_order_n` also refuses a whole ``nu``; base points go
+through :func:`~nablafrac.grid.point_offset`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,39 +22,23 @@ from .grid import Grid, GridFunction, point_offset
 from .monomial import kernel_weights
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """An order ``nu``, finite and above 0, together with ``N = ceil(nu)``."""
+def order_n(nu: float) -> int:
+    """``N = ceil(nu)`` for an order ``nu``, which must be finite and above 0."""
+    try:
+        nu = float(nu)
+    except OverflowError:  # an int too large for a float
+        nu = math.inf
+    if not (math.isfinite(nu) and nu > 0):
+        raise ValueError(f"order nu must be finite and positive, got {nu}")
+    return math.ceil(nu)
 
-    nu: float
-    N: int
 
-    def __post_init__(self):
-        if not (math.isfinite(self.nu) and self.nu > 0):
-            raise ValueError(f"order nu must be finite and positive, got {self.nu}")
-        if self.N != math.ceil(self.nu):
-            raise ValueError(f"N={self.N} is not ceil({self.nu})")
-
-    @classmethod
-    def from_nu(cls, nu: float) -> "FracOrder":
-        try:
-            nu = float(nu)
-        except OverflowError:  # an int too large for a float
-            nu = math.inf
-        # ceil(inf) overflows; N = 0 lets __post_init__ reject the order instead
-        return cls(nu, math.ceil(nu) if math.isfinite(nu) else 0)
-
-    @classmethod
-    def fractional(cls, nu: float) -> "FracOrder":
-        """:meth:`from_nu` for an order strictly between N-1 and N."""
-        order = cls.from_nu(nu)
-        if order.is_whole:
-            raise ValueError(f"order nu must not be a whole number, got {nu}")
-        return order
-
-    @property
-    def is_whole(self) -> bool:
-        return float(self.nu).is_integer()
+def fractional_order_n(nu: float) -> int:
+    """:func:`order_n` for an order strictly between N-1 and N."""
+    n = order_n(nu)
+    if float(nu).is_integer():
+        raise ValueError(f"order nu must not be a whole number, got {nu}")
+    return n
 
 
 def nabla(f: GridFunction) -> GridFunction:
@@ -94,7 +78,7 @@ def frac_integral(f: GridFunction, base: float, nu: float) -> GridFunction:
     at base+m it is sum_{s=1..m} H_{nu-1}(m-s+1) * f(base+s).  f must be
     defined on (base, hi].
     """
-    FracOrder.from_nu(nu)
+    order_n(nu)
     b = point_offset(base, f.grid.base)  # the base may sit one step below f's grid
     if not f.grid.lo - 1 <= b <= f.grid.hi:
         raise OffGridError(f"base offset {b} outside [{f.grid.lo - 1}, {f.grid.hi}]")
@@ -114,7 +98,7 @@ def rl_difference(f: GridFunction, base: float, nu: float, extend: bool = False)
     nabla integral is 0 whenever its upper limit is <= its lower limit),
     which extends the result down to [base, hi] with value 0 at the base.
     """
-    n = FracOrder.fractional(nu).N
+    n = fractional_order_n(nu)
     g = frac_integral(f, base, n - nu)
     if extend:
         g = GridFunction(Grid(g.grid.base, g.grid.lo - n, g.grid.hi),
@@ -128,7 +112,7 @@ def caputo_difference(f: GridFunction, base: float, nu: float) -> GridFunction:
     f must carry the N-1 ghost points below the base, i.e. be defined on
     [base-N+1, hi].  The result lives on [base, hi] and is 0 at the base.
     """
-    n = FracOrder.fractional(nu).N
+    n = fractional_order_n(nu)
     b = point_offset(base, f.grid.base)
     if f.grid.lo > b - n + 1:
         raise ValueError(

@@ -4,24 +4,25 @@
 G(t,s) is stated piecewise: u for s > t and v = u + x(t, s) for
 s <= t + 1, with x the Cauchy function.  x(t, s) is 0 for t < s, so v
 equals u on every cell where u is stated, and G is v on every cell.
-``branch`` names the stated piece of each cell and flags the cells
-outside both regions ``u*``; comparisons quantify only over the stated
-region.  The t range is extended down to a-N+1 so that operator residual
-checks are possible.  The generic builder takes G from the bordered
-system of :mod:`nablafrac.bvp`, with the identity on its equation rows,
-and u = G - x(t, s).
+``branch`` names the stated piece of each cell, from N and b alone, and
+flags the cells outside both regions ``u*``; comparisons quantify only
+over the stated region.  The t range is extended down to a-N+1 so that
+operator residual checks are possible.  The generic builder takes G from
+the bordered system of :mod:`nablafrac.bvp`, with the identity on its
+equation rows, and u = G - x(t, s).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .bvp import BoundarySpec, _bordered_solve
 from .errors import DegenerateDenominatorError, OffGridError
-from .fraccalc import FracOrder
+from .fraccalc import fractional_order_n
 from .grid import Grid, GridFunction, point_offset
 from .ivp import cauchy_function
 from .monomial import kernel_weights
@@ -35,16 +36,15 @@ class GreensFunction:
     """Piecewise kernel on t in [a-N+1, b] x s in [a+N+1, b].
 
     ``u`` and ``v`` are (t, s)-indexed arrays; ``branch`` holds 'u' / 'v'
-    on the stated regions and 'u*' on flagged cells.
+    on the stated regions and 'u*' on flagged cells.  The accessors take
+    offsets and raise :class:`OffGridError` outside those ranges.
     """
 
     a: float
-    nu: float
     N: int
     b_offset: int
     u: np.ndarray
     v: np.ndarray
-    branch: np.ndarray
 
     @property
     def G(self) -> np.ndarray:
@@ -59,29 +59,38 @@ class GreensFunction:
     def s_lo(self) -> int:
         return self.N + 1
 
+    @cached_property
+    def branch(self) -> np.ndarray:
+        # stated regions: u on 0 <= t <= b-N, s >= t+1 and v on t >= N, s <= t+1
+        n, b = self.N, self.b_offset
+        t, s = _grid_offsets(n, b)
+        in_v = (t >= n) & (s <= t + 1)
+        in_u = (t >= 0) & (t <= b - n) & (s >= t + 1)
+        return np.where(in_v, "v", np.where(in_u, "u", "u*"))
+
+    def _cell(self, t_offset: int, s_offset: int) -> tuple[int, int]:
+        """The array index of (t, s); :class:`OffGridError` outside the kernel's ranges."""
+        b = self.b_offset
+        if not (self.t_lo <= t_offset <= b and self.s_lo <= s_offset <= b):
+            raise OffGridError(f"(t, s) offsets ({t_offset}, {s_offset}) outside "
+                               f"[{self.t_lo}, {b}] x [{self.s_lo}, {b}]")
+        return t_offset - self.t_lo, s_offset - self.s_lo
+
     def value(self, t_offset: int, s_offset: int) -> float:
-        return float(self.G[t_offset - self.t_lo, s_offset - self.s_lo])
+        return float(self.G[self._cell(t_offset, s_offset)])
 
     def branch_of(self, t_offset: int, s_offset: int) -> str:
-        return str(self.branch[t_offset - self.t_lo, s_offset - self.s_lo])
+        return str(self.branch[self._cell(t_offset, s_offset)])
 
     def column(self, s_offset: int) -> GridFunction:
         """G(., s) on the extended grid, for residual checks."""
-        return GridFunction(Grid(self.a, self.t_lo, self.b_offset),
-                            self.G[:, s_offset - self.s_lo])
+        _, j = self._cell(self.t_lo, s_offset)
+        return GridFunction(Grid(self.a, self.t_lo, self.b_offset), self.G[:, j])
 
 
 def _grid_offsets(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """t offsets [a-N+1, b] as a column and s offsets [a+N+1, b] as a row."""
     return np.arange(-(n - 1), b + 1)[:, None], np.arange(n + 1, b + 1)[None, :]
-
-
-def _branch_table(n: int, b: int) -> np.ndarray:
-    # stated regions: u on 0 <= t <= b-N, s >= t+1 and v on t >= N, s <= t+1
-    t, s = _grid_offsets(n, b)
-    in_v = (t >= n) & (s <= t + 1)
-    in_u = (t >= 0) & (t <= b - n) & (s >= t + 1)
-    return np.where(in_v, "v", np.where(in_u, "u", "u*"))
 
 
 def build_greens(op: FracOperator, spec: BoundarySpec,
@@ -91,14 +100,17 @@ def build_greens(op: FracOperator, spec: BoundarySpec,
     Column s of G solves L x = e_s with zero boundary values within the
     span of ``basis``, so one bordered solve with the identity on the
     equation rows gives every column; u = G - x(t, s), with x the
-    Cauchy function.  Raises :class:`NearSingularError` as ``solve_bvp``
-    does.
+    Cauchy function.  The basis's values below a decide G: for the (2,1)
+    conjugate problem with p = 1, q = 0 and b = 40, G over the numeric
+    zero-ghost basis is 33 %, 19 % and 2.9 % of max|G| from the closed
+    form for nu = 1.2, 1.5 and 1.9, and G over the analytic basis is
+    within 5e-14 of it.  Raises :class:`NearSingularError` as
+    ``solve_bvp`` does.
     """
     n = op.N
     b = op.b_offset
     g = _bordered_solve(op, spec, basis, np.eye(b - n), np.zeros((n + 1, b - n)))
-    return GreensFunction(op.a, op.nu, n, b, g - cauchy_function(op).values, g,
-                          _branch_table(n, b))
+    return GreensFunction(op.a, n, b, g - cauchy_function(op).values, g)
 
 
 def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunction:
@@ -108,7 +120,7 @@ def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunctio
     u(t,s) = -H_nu(b, rho(s)) (t - a - H_nu(t,a)) / (b - a - H_nu(b,a)),
     v(t,s) = u(t,s) + H_nu(t, rho(s)).
     """
-    if FracOrder.fractional(nu).N != 2:
+    if fractional_order_n(nu) != 2:
         raise ValueError(f"conjugate closed form needs nu in (1, 2), got {nu}")
     try:
         b_off = point_offset(b, a)
@@ -117,6 +129,7 @@ def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunctio
     if b_off < 3:
         raise ValueError(f"b - a must be at least 3, got {b_off}")
     n = 2
+    Grid(a, 1 - n, b_off)  # refuses an a where the points a + t are not exact
     w = kernel_weights(b_off, nu)  # H_nu(a+m, a) for m = 0..b-a
 
     def mono(m):  # H_nu(a+m, a) vanishes for m <= 0
@@ -129,7 +142,7 @@ def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunctio
         )
     t, s = _grid_offsets(n, b_off)
     u = -mono(b_off - s + 1) * ((t - mono(t)) / denom)
-    return GreensFunction(a, nu, n, b_off, u, u + mono(t - s + 1), _branch_table(n, b_off))
+    return GreensFunction(a, n, b_off, u, u + mono(t - s + 1))
 
 
 def greens_solve(g: GreensFunction, h: GridFunction) -> GridFunction:
@@ -142,7 +155,5 @@ def compare_greens(g1: GreensFunction, g2: GreensFunction) -> float:
     """Max absolute entry difference over the stated piecewise region."""
     if g1.G.shape != g2.G.shape or g1.N != g2.N or g1.b_offset != g2.b_offset:
         raise ValueError("Green's functions have different index sets")
-    stated = g1.branch != "u*"
-    if not np.array_equal(g1.branch, g2.branch):
-        raise ValueError("branch tables disagree")
+    stated = g1.branch != "u*"  # the same table as g2's: both come from (N, b)
     return float(np.max(np.abs(g1.G[stated] - g2.G[stated])))

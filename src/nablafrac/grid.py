@@ -6,7 +6,8 @@ arithmetic is done on the integer offsets, so membership tests never
 suffer floating-point drift.  :func:`point_offset` is the package's one
 rule from a real point to an offset, base equality included: it accepts
 a point within ``_POINT_TOL`` of a grid point and raises
-:class:`OffGridError` for any other, a non-finite one too.  Function
+:class:`OffGridError` for any other, a non-finite one too.  A grid's
+points stay below 2**53 in magnitude, where ``a + k`` is exact.  Function
 values are one read-only float64 array; :meth:`GridFunction.values_on`
 is the one place that turns a base and an offset range into a slice.
 """
@@ -23,6 +24,8 @@ from .errors import OffGridError
 
 # slack when converting a real point to an integer offset
 _POINT_TOL = 1e-9
+# beyond this magnitude consecutive floats are more than 1 apart
+_EXACT_LIMIT = 2 ** 53
 
 
 def point_offset(t: float, base: float) -> int:
@@ -54,6 +57,14 @@ class Grid:
             raise ValueError(f"grid base must be finite, got {self.base}")
         if self.lo > self.hi:
             raise ValueError(f"empty grid: lo={self.lo} > hi={self.hi}")
+        try:
+            exact = -_EXACT_LIMIT < self.base + self.lo and self.base + self.hi < _EXACT_LIMIT
+        except OverflowError:  # an offset too large for a float
+            exact = False
+        if not exact:
+            raise ValueError(f"grid points a + k with a = {self.base} and k in "
+                             f"[{self.lo}, {self.hi}] reach 2**53 in magnitude, "
+                             "where a + k is not exact")
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1

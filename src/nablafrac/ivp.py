@@ -166,7 +166,6 @@ class CauchyFunction:
     """
 
     a: float
-    nu: float
     N: int
     b_offset: int
     values: np.ndarray
@@ -202,7 +201,7 @@ def cauchy_function(op: FracOperator) -> CauchyFunction:
         for t in range(s + 1, b + 1):
             xs[t - lo] = -_row_value(op, xs, lo, s - 1, t) / op.p.at(t)
         values[s - 1:, s - n - 1] = xs
-    return CauchyFunction(op.a, op.nu, n, b, values)
+    return CauchyFunction(op.a, n, b, values)
 
 
 def variation_of_constants(op: FracOperator, h: GridFunction) -> GridFunction:

@@ -1,11 +1,11 @@
 """The fractional operator L x = nabla[p * caputo_nu x] + q * shift(x).
 
 ``FracOperator`` carries the base point a, the order nu (strictly
-between N-1 and N; its :class:`~nablafrac.fraccalc.FracOrder` is made
-once, at construction), the finite coefficient functions p > 0 on
-[a+N, b] and q on [a+N+1, b].  ``apply`` evaluates the operator as a residual on
-[a+N+1, b]; the argument must carry the N-1 ghost points below a that
-the Caputo sum consumes (see :class:`GhostClosure`).
+between N-1 and N; ``N = ceil(nu)`` is found once, at construction), the
+finite coefficient functions p > 0 on [a+N, b] and q on [a+N+1, b].
+``apply`` evaluates the operator as a residual on [a+N+1, b]; the
+argument must carry the N-1 ghost points below a that the Caputo sum
+consumes (see :class:`GhostClosure`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fraccalc import FracOrder, frac_sum
+from .fraccalc import frac_sum, fractional_order_n, order_n
 from .grid import Grid, GridFunction, constant_grid_function
 
 
@@ -59,11 +59,11 @@ class FracOperator:
     nu: float
     p: GridFunction
     q: GridFunction
-    order: FracOrder = field(init=False, repr=False, compare=False)
+    N: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "order", FracOrder.fractional(self.nu))
-        n = self.order.N
+        n = fractional_order_n(self.nu)
+        object.__setattr__(self, "N", n)
         self.p.grid.require_base(self.a)
         self.q.grid.require_base(self.a)
         b = self.p.grid.hi
@@ -77,10 +77,6 @@ class FracOperator:
             raise ValueError("q must be finite")
 
     @property
-    def N(self) -> int:
-        return self.order.N
-
-    @property
     def b_offset(self) -> int:
         return self.p.grid.hi
 
@@ -92,7 +88,7 @@ class FracOperator:
     def constant(cls, a: float, nu: float, b_offset: int,
                  p: float = 1.0, q: float = 0.0) -> "FracOperator":
         """Operator with constant coefficients on [a, a + b_offset]."""
-        n = FracOrder.from_nu(nu).N
+        n = order_n(nu)
         return cls(
             a, nu,
             constant_grid_function(Grid(a, n, b_offset), p),

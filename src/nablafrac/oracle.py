@@ -35,7 +35,6 @@ class DenseSystem:
     """An M x M system for the unknowns x(a-N+1), ..., x(b); M = b-a+N."""
 
     a: float
-    nu: float
     N: int
     b_offset: int
     matrix: np.ndarray
@@ -69,7 +68,7 @@ def _system(op: FracOperator, h: GridFunction, rows: list, rhs: list) -> DenseSy
         for i in range(n + 1):
             eq[:, 1 - i - lo:b + 1 - i - lo] += kern * (-1) ** i * comb(n, i)
     eq[np.arange(b - n), t - 1 - lo] += op.q.values
-    return DenseSystem(op.a, op.nu, n, b, np.vstack(rows + [eq]),
+    return DenseSystem(op.a, n, b, np.vstack(rows + [eq]),
                        np.concatenate((rhs, h.values_on(op.a, n + 1, b))))
 
 

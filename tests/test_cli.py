@@ -1,5 +1,9 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nablafrac import (FracOperator, Grid, GridFunction, cauchy_function,
                        conjugate_greens_closed_form, solve_ivp, taylor_monomial)
@@ -507,6 +512,8 @@ GREENS_NU_2_5 = {"a": 0.0, "b_offset": 8, "nu": 2.5, "p": 1.0, "q": 0.0, "h": 1.
                  id="greens-params-with-config"),
     pytest.param(["greens", "--conjugate", "a=0", "b=3", "nu=1.0000000000001"], 2, "vanishes",
                  id="degenerate-exits-two"),
+    pytest.param(["greens", "--conjugate", "a=1e17", "b=100000000000000016", "nu=1.5"], 1,
+                 "a = 1e+17", id="a-beyond-2**53"),
 ])
 def test_cli_returns_its_documented_code_and_never_raises(tmp_path, capsys, argv, code, named):
     paths = {"greens_nu_2_5": write_config(tmp_path, GREENS_NU_2_5),
@@ -516,6 +523,108 @@ def test_cli_returns_its_documented_code_and_never_raises(tmp_path, capsys, argv
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named.format(**paths) in err
     assert "config field" not in err  # no row here names a config field
+
+
+CONJUGATE_BVP = {"type": "bvp", "alpha": [[1, 0, 0], [0, 1, 0]], "A": [0, 0], "beta": [1, 0, 0],
+                 "B": 0}
+
+
+@pytest.mark.parametrize("command, problem", [
+    ("verify", {"type": "greens"}),
+    ("verify", {"type": "ivp", "A": [0, 0, 0]}),
+    ("verify", CONJUGATE_BVP),
+    ("solve-ivp", {"type": "ivp", "A": [0, 0, 0]}),
+    ("solve-bvp", CONJUGATE_BVP),
+    ("cauchy", {"type": "ivp", "A": [0, 0, 0]}),
+    ("greens", {"type": "greens"}),
+    ("greens", {"type": "greens", "conjugate": True}),
+])
+def test_base_beyond_2_53_exits_one_before_any_output(tmp_path, capsys, command, problem):
+    # 1e17 + k is not exact: the points a + 1, ..., a + 10 would merge
+    cfg = {"a": 1e17, "b_offset": 10, "nu": 1.5, "p": 1, "q": 0, "h": 1, "problem": problem}
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("error: ") and "a = 1e+17" in out.err
+
+
+# Valid configs (b <= 12) for the mutation test, and the solve command of each.
+MUTANT_BASES = {
+    "ivp": {"a": 0.0, "b_offset": 8, "nu": 1.5,
+            "p": {"values": [1.0, 2.0, 1.5, 1.0, 2.0, 1.0, 1.0], "start": 2},
+            "q": -0.5, "h": {"values": [0.5, -1.0, 0.25, 1.0, 0.0, 2.0], "start": 3},
+            "problem": {"type": "ivp", "A": [0.5, -1.0, 0.25],
+                        "ghost": {"mode": "explicit", "values": [0.75]}}},
+    "bvp": {"a": 1.0, "b_offset": 6, "nu": 0.6, "p": 1.5,
+            "q": {"values": [0.1, -0.2, 0.3, 0.0, 0.1], "start": 2}, "h": 1.0,
+            "problem": {"type": "bvp", "alpha": [[1.0, 0.5]], "A": [0.25], "beta": [1.0, 0.0],
+                        "B": -0.5}},
+    "greens": {"a": 0.0, "b_offset": 9, "nu": 1.5, "p": 1, "q": 0, "h": 1.0,
+               "problem": {"type": "greens", "conjugate": False}},
+}
+SOLVE_COMMANDS = {"ivp": "solve-ivp", "bvp": "solve-bvp", "greens": "greens"}
+_DELETE, _HUGE = object(), "<1e400>"  # 1e400 overflows to inf as JSON reads it
+MUTATIONS = [_DELETE, None, "text", True, math.nan, _HUGE, [1.0, 2.0], {"k": 1}, 0, -3, -2.5,
+             10**30]
+
+
+def _field_paths(node, prefix=()):
+    """The key or index path of every field and list entry below node."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+MUTANT_FIELDS = [(kind, path) for kind, cfg in MUTANT_BASES.items() for path in _field_paths(cfg)]
+
+
+def _mutated(kind, path, value) -> str:
+    """The config text with the field at path deleted or set to value."""
+    cfg = copy.deepcopy(MUTANT_BASES[kind])
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(cfg).replace(f'"{_HUGE}"', "1e400")
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(MUTANT_FIELDS), value=st.sampled_from(MUTATIONS))
+def test_mutated_config_exits_with_a_documented_code(tmp_path_factory, field, value):
+    kind, path = field
+    config = tmp_path_factory.mktemp("mutant") / "config.json"
+    config.write_text(_mutated(kind, path, value))
+    try:
+        op = cli.build_operator(cli.load_config(str(config)))
+    except ValueError:
+        pass
+    else:  # no mutation makes a problem big enough to allocate much
+        assert op.b_offset <= 64
+    for argv in (["verify", "--config", str(config)],
+                 [SOLVE_COMMANDS[kind], "--config", str(config)]):
+        code, out, err = _run_in_process(argv)
+        assert code in (0, 1, 2) or 10 <= code <= 14, (argv, code)
+        if code in (1, 2):
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        else:
+            assert err == ""
+        if code == 1:  # an invalid config is refused before the first check
+            assert "check" not in out
 
 
 def _module_env():

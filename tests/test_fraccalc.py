@@ -5,16 +5,17 @@ import pytest
 
 from nablafrac import (
     FracOperator,
-    FracOrder,
     Grid,
     GridFunction,
     caputo_difference,
     conjugate_greens_closed_form,
     constant_grid_function,
     frac_integral,
+    fractional_order_n,
     make_grid_function,
     nabla,
     nabla_n,
+    order_n,
     rl_difference,
     taylor_monomial,
 )
@@ -30,29 +31,27 @@ def monomial_function(base, lo, hi, nu, a_offset=0):
 
 
 class TestFracOrder:
+    """The order rule: ``order_n`` and ``fractional_order_n``."""
+
     def test_ceiling(self):
-        assert FracOrder.from_nu(1.5).N == 2
-        assert FracOrder.from_nu(3.0).N == 3
-        assert FracOrder.from_nu(3.0).is_whole
+        assert order_n(1.5) == 2
+        assert order_n(3.0) == 3
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            FracOrder.from_nu(0.0)
-
-    def test_rejects_wrong_ceiling(self):
-        with pytest.raises(ValueError):
-            FracOrder(1.5, 3)
+        with pytest.raises(ValueError, match="finite and positive"):
+            order_n(0.0)
 
     def test_fractional_rejects_a_whole_order(self):
-        assert FracOrder.fractional(2.5).N == 3
+        assert fractional_order_n(2.5) == 3
         with pytest.raises(ValueError, match="whole"):
-            FracOrder.fractional(2.0)
+            fractional_order_n(2.0)
 
 
 # The one order rule, through every function that takes an order.
 _F = GridFunction(Grid(0.0, -3, 8), tuple(float(k * k) for k in range(-3, 9)))
 ORDER_CALLS = {
-    "FracOrder.from_nu": FracOrder.from_nu,
+    "FracOrder.from_nu": order_n,  # a stable test id for order_n
+    "fractional_order_n": fractional_order_n,
     "FracOperator.constant": lambda nu: FracOperator.constant(0.0, nu, 8),
     "frac_integral": lambda nu: frac_integral(_F, 0.0, nu),
     "rl_difference": lambda nu: rl_difference(_F, 0.0, nu),

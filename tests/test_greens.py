@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,7 @@ from nablafrac import (
     Grid,
     GridFunction,
     NearSingularError,
+    OffGridError,
     apply,
     assemble_bvp,
     boundary_rows,
@@ -204,6 +203,33 @@ class TestGreensSolve:
             assert max_gap(x, xb) < 1e-8
 
 
+class TestOffsets:
+    """value, branch_of and column take offsets in t in [-1, 6] x s in [3, 6] here."""
+
+    G = conjugate_greens_closed_form(0.0, 6.0, 1.5)
+
+    @pytest.mark.parametrize("t, s", [(-5, 3), (-2, 3), (7, 3), (0, 2), (0, -1), (0, 7)])
+    def test_value_refuses_an_offset_outside(self, t, s):
+        with pytest.raises(OffGridError):
+            self.G.value(t, s)
+
+    @pytest.mark.parametrize("t, s", [(0, 2), (-2, 4), (7, 6), (0, 7)])
+    def test_branch_of_refuses_an_offset_outside(self, t, s):
+        with pytest.raises(OffGridError):
+            self.G.branch_of(t, s)
+
+    @pytest.mark.parametrize("s", [1, 2, -1, 7])
+    def test_column_refuses_an_offset_outside(self, s):
+        with pytest.raises(OffGridError):
+            self.G.column(s)
+
+    def test_offsets_inside_read_their_cell(self):
+        g = self.G
+        assert g.value(-1, 3) == g.G[0, 0] and g.value(6, 6) == g.G[-1, -1]
+        assert g.branch_of(6, 6) == "v" and g.branch_of(-1, 6) == "u*"
+        assert g.column(6).values.tobytes() == g.G[:, -1].tobytes()
+
+
 class TestCompare:
     def test_self_comparison_is_zero(self):
         g = conjugate_greens_closed_form(0.0, 7.0, 1.5)
@@ -222,9 +248,3 @@ class TestCompare:
         assert g.branch_of(0, 3) == "u"
         assert g.branch_of(3, 3) == "v"
         assert g.branch_of(6, 7) == "v"
-
-    def test_different_branch_tables_rejected(self):
-        g = conjugate_greens_closed_form(0.0, 7.0, 1.5)
-        relabelled = dataclasses.replace(g, branch=np.where(g.branch == "u*", "u", g.branch))
-        with pytest.raises(ValueError, match="branch tables disagree"):
-            compare_greens(g, relabelled)

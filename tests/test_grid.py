@@ -129,3 +129,24 @@ def test_point_rule_accepts_a_point_within_tolerance(name):
 def test_grid_rejects_a_non_finite_base(base):
     with pytest.raises(ValueError):
         Grid(base, 0, 3)
+
+
+@pytest.mark.parametrize("base, lo, hi", [
+    pytest.param(1e17, 1, 10, id="1e17"),
+    pytest.param(-1e17, 1, 10, id="-1e17"),
+    pytest.param(2.0**53 - 10, 0, 10, id="hi-at-2**53"),
+    pytest.param(-(2.0**53 - 2), -2, 3, id="lo-at-minus-2**53"),
+    pytest.param(0.0, 2, 10**30, id="hi-10**30"),
+    pytest.param(0.0, 2, 10**400, id="hi-int-10**400"),
+    pytest.param(10**17, 0, 1, id="int-10**17"),
+])
+def test_grid_refuses_points_where_a_plus_k_is_not_exact(base, lo, hi):
+    # at 2**53 and above, floats are more than 1 apart, so a + k merges points
+    with pytest.raises(ValueError, match=r"reach 2\*\*53"):
+        Grid(base, lo, hi)
+
+
+def test_grid_accepts_points_up_to_2_53_minus_1():
+    g = Grid(2.0**53 - 11, 0, 10)
+    assert len({g.base + k for k in g.offsets()}) == len(g)
+    assert len(Grid(-(2.0**53 - 2), -1, 0)) == 2
