@@ -53,10 +53,11 @@ class BoundarySpec:
                 raise ValueError(f"alpha row {i} is identically zero")
         if not any(v != 0.0 for v in self.beta):
             raise ValueError("beta row is identically zero")
-        rows = np.array(alpha)
-        rows /= np.max(np.abs(rows), axis=1, keepdims=True)  # rank test free of scale
-        if np.linalg.matrix_rank(rows, tol=_RANK_TOL) < n:
-            raise ValueError("alpha rows are linearly dependent")
+        if n > 1:  # one nonzero row has rank 1
+            rows = np.array(alpha)
+            rows /= np.max(np.abs(rows), axis=1, keepdims=True)  # rank test free of scale
+            if np.linalg.matrix_rank(rows, tol=_RANK_TOL) < n:
+                raise ValueError("alpha rows are linearly dependent")
 
     @property
     def N(self) -> int:

@@ -68,9 +68,13 @@ def _is_number(v) -> bool:
 
 def _numbers(values, field: str) -> list:
     """values if it is a list of finite numbers, else a ConfigError naming field."""
-    if not isinstance(values, list) or not all(_is_number(v) for v in values):
-        raise ConfigError(field, "expected a list of finite numbers")
-    return values
+    try:  # type() refuses bools; np.array raises OverflowError on an int too large for a float
+        if (isinstance(values, list) and set(map(type, values)) <= {int, float}
+                and np.isfinite(np.array(values, dtype=float)).all()):
+            return values
+    except OverflowError:
+        pass
+    raise ConfigError(field, "expected a list of finite numbers")
 
 
 def _finite(name: str, v: float) -> float:
@@ -277,7 +281,10 @@ def _greens_from_args(args):
         cfg = load_config(args.config)
         problem = _problem(cfg, "greens")
         op = build_operator(cfg)
-        if problem.get("conjugate", False):
+        conjugate = problem.get("conjugate", False)
+        if not isinstance(conjugate, bool):
+            raise ConfigError("problem.conjugate", f"expected true or false, got {conjugate!r}")
+        if conjugate:
             if not op.is_basic():
                 raise ConfigError("problem.conjugate", "requires p == 1 and q == 0")
             return conjugate_greens_closed_form(op.a, op.b, op.nu)

@@ -3,8 +3,8 @@
 Every operator maps a :class:`GridFunction` to a :class:`GridFunction`
 tabulated on exactly the offsets where its defining formula makes sense;
 there is no silent zero-padding.  Every fractional sum, and through it
-every Riemann-Liouville and Caputo difference, is one ``np.convolve``
-with the kernel weights of :func:`~nablafrac.monomial.kernel_weights`.
+every Riemann-Liouville and Caputo difference, is one ``np.convolve`` (one
+Toeplitz product for many columns) with the weights of ``kernel_weights``.
 :func:`order_n` is the one place that checks an order ``nu`` (finite
 and above 0) and maps it to ``N = ceil(nu)``, and
 :func:`fractional_order_n` also refuses a whole ``nu``; base points go
@@ -63,12 +63,15 @@ def nabla_n(f: GridFunction, n: int) -> GridFunction:
 def frac_sum(f: np.ndarray, nu: float) -> np.ndarray:
     """Order-``nu`` sum of f = f(base+1..base+m), at base+1..base+m (see frac_integral).
 
-    A 2-D f is one function per column: one kernel, one convolution per column.
+    A 1-D f is one ``np.convolve`` with the kernel; a 2-D f, one function per
+    column, is one product with the kernel's lower-triangular Toeplitz matrix.
     """
     m = len(f)
     w = kernel_weights(m, nu - 1.0)[1:]
-    cols = f.reshape(m, -1).T
-    return np.stack([np.convolve(w, c)[:m] for c in cols], axis=1).reshape(f.shape)
+    if f.ndim == 1:
+        return np.convolve(w, f)[:m]
+    padded = np.concatenate((np.zeros(m - 1), w))  # Toeplitz row i is padded[i:i + m] reversed
+    return np.lib.stride_tricks.sliding_window_view(padded, m)[:, ::-1] @ f
 
 
 def frac_integral(f: GridFunction, base: float, nu: float) -> GridFunction:

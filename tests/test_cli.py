@@ -260,6 +260,7 @@ class TestGreens:
     @pytest.mark.parametrize("overrides, named", [
         ({"q": 0.5, "problem": {"type": "greens", "conjugate": True}}, "'problem.conjugate'"),
         ({"nu": 2.5, "problem": {"type": "greens"}}, "N == 2"),
+        ({"problem": {"type": "greens", "conjugate": "false"}}, "'problem.conjugate'"),
     ])
     def test_config_refusals(self, tmp_path, capsys, overrides, named):
         assert main(["greens", "--config", write_config(tmp_path, ivp_config(**overrides))]) == 1
@@ -482,6 +483,21 @@ class TestConfigNumbers:
         out = capsys.readouterr()
         assert "check" not in out.out
         assert f"config field {field}" in out.err
+
+    @pytest.mark.parametrize("value, accepted", [
+        (True, False), ("1", False), (None, False), (float("nan"), False),
+        (float("inf"), False), (float("-inf"), False), (10**400, False),
+        (-0.0, True), (1e308, True), ([1.0], False),
+    ])
+    def test_number_lists_accept_what_each_value_check_accepts(self, value, accepted):
+        # the list is checked as one array; each value must fare as _is_number says
+        assert cli._is_number(value) == accepted
+        for values in ([value], [1.0, value, 2]):
+            if accepted:
+                assert cli._numbers(values, "f") is values
+            else:
+                with pytest.raises(cli.ConfigError, match="'f'"):
+                    cli._numbers(values, "f")
 
 
 GREENS_NU_2_5 = {"a": 0.0, "b_offset": 8, "nu": 2.5, "p": 1.0, "q": 0.0, "h": 1.0,

@@ -240,6 +240,13 @@ class TestCompare:
         g2 = conjugate_greens_closed_form(0.0, 8.0, 1.5)
         with pytest.raises(ValueError):
             compare_greens(g1, g2)
+        # the same index sets over another base: [0, 6] against [5, 11] and [0.5, 6.5]
+        g1 = conjugate_greens_closed_form(0.0, 6.0, 1.5)
+        for a in (5.0, 0.5):
+            with pytest.raises(ValueError, match="different index sets"):
+                compare_greens(g1, conjugate_greens_closed_form(a, a + 6.0, 1.5))
+        g1 = conjugate_greens_closed_form(0.3, 6.3, 1.5)  # bases equal to rounding
+        assert compare_greens(g1, conjugate_greens_closed_form(0.1 + 0.2, 6.3, 1.5)) == 0.0
 
     def test_unstated_cells_are_flagged(self):
         g = conjugate_greens_closed_form(0.0, 7.0, 1.5)

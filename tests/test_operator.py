@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,9 @@ from nablafrac import (
     taylor_monomial,
 )
 from nablafrac.operator import apply_array
-from conftest import random_operator
+from conftest import _mp_kernel, random_operator
+
+EPS = np.finfo(float).eps
 
 
 def monomial_function(base, lo, hi, nu):
@@ -148,14 +151,41 @@ class TestApply:
     @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
     @pytest.mark.parametrize("b", [5, 17, 40])
     def test_columns_bit_identical_to_one_dimensional_calls(self, nu, b):
-        # one column per function: the same bits as one 1-D call per column
+        # one column per function: equal to one 1-D call per column within
+        # 32 eps of the column's max, since a 2-D x is summed by a Toeplitz
+        # product and a 1-D x by np.convolve (15 eps seen at nu = 3.3, b = 5)
         rng = np.random.default_rng(b)
         op = random_operator(rng, 0.0, nu, b)
         x = np.concatenate((rng.uniform(-1, 1, (b + op.N, 6)), np.eye(b + op.N)), axis=1)
         want = np.array([apply_array(op, np.ascontiguousarray(c)) for c in x.T]).T
         got = apply_array(op, x)
         assert got.shape == (b - op.N, x.shape[1])
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert np.all(np.abs(got - want) <= 32 * EPS * np.max(np.abs(want), axis=0))
+
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3, 1 + 1e-9, 2 - 1e-9])
+    @pytest.mark.parametrize("b", [5, 17, 40])
+    def test_columns_match_50_digit_sums(self, nu, b):
+        # every column of the 2-D path against the same sums in 50 digits,
+        # every input float taken exactly
+        rng = np.random.default_rng(b)
+        op = random_operator(rng, 0.0, nu, b)
+        n = op.N
+        x = np.concatenate((rng.uniform(-1, 1, (b + n, 3)), np.eye(b + n)), axis=1)
+        got = apply_array(op, x)
+        binom = [(-1) ** i * math.comb(n, i) for i in range(n + 1)]
+        with mpmath.workdps(50):
+            kernel = _mp_kernel(op)
+            p = [None] * n + [mpmath.mpf(v) for v in op.p.values]  # p[t] = p(t)
+            for j, col in enumerate(x.T):
+                xs = [mpmath.mpf(v) for v in col]  # xs[k + n - 1] = x(k)
+                d = [None] + [mpmath.fsum(c * xs[s - i + n - 1] for i, c in enumerate(binom))
+                              for s in range(1, b + 1)]
+                cap = [None] + [mpmath.fsum(kernel[t - s + 1] * d[s] for s in range(1, t + 1))
+                                for t in range(1, b + 1)]
+                want = np.array([float(p[t] * cap[t] - p[t - 1] * cap[t - 1]
+                                       + mpmath.mpf(op.q.at(t)) * xs[t + n - 2])
+                                 for t in range(n + 1, b + 1)])
+                assert np.max(np.abs(got[:, j] - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_same_bits_on_a_wider_grid(self, rng):
         # np.convolve's bits depend on its input length, so values above b must not reach it
