@@ -102,6 +102,8 @@ def _coefficient(cfg: dict, field: str, a: float, lo: int, hi: int) -> GridFunct
         return GridFunction(Grid(a, lo, hi), np.full(hi - lo + 1, float(spec)))
     values = _numbers(spec.get("values"), f"{field}.values")
     start = spec.get("start", lo)
+    if type(start) is not int:  # a bool is an int, and 2.0 == 2
+        raise ConfigError(field, f"start must be an integer, got {start!r}")
     if start != lo or len(values) != hi - lo + 1:
         raise ConfigError(
             field,

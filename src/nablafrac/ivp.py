@@ -50,18 +50,11 @@ class InitialConditions:
 def ic_to_values(ic: InitialConditions) -> tuple[float, ...]:
     """Unfold nabla^i x(a+i) = A_i into the point values x(a), ..., x(a+N).
 
-    The system is unit lower triangular in the point values, so it is
-    always solvable by forward substitution.
+    nabla^j x(a+j) is the forward difference Delta^j x(a), so Newton's
+    forward-difference formula gives x(a+i) = sum_j C(i, j) A_j.
     """
-    n = len(ic.values) - 1
-    xs = [ic.values[0]]
-    for i in range(1, n + 1):
-        # nabla^i x(a+i) = sum_j (-1)^j C(i,j) x(a+i-j)
-        acc = ic.values[i]
-        for j in range(1, i + 1):
-            acc -= (-1) ** j * comb(i, j) * xs[i - j]
-        xs.append(acc)
-    return tuple(xs)
+    A = ic.values
+    return tuple(sum((comb(i, j) * A[j] for j in range(1, i + 1)), A[0]) for i in range(len(A)))
 
 
 def _nabla_pow(xs: list[float], lo: int, n: int, t: int) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from math import comb, inf
-from typing import Sequence
 
 import numpy as np
 
@@ -45,9 +44,14 @@ class DenseSystem:
         return -(self.N - 1)
 
 
-def _system(op: FracOperator, h: GridFunction, rows: list, rhs: list) -> DenseSystem:
-    """The given leading rows, then (L x)(t) = h(t) for t in [N+1, b] as one block.
+def _system(op: FracOperator, h: GridFunction, closure: GhostClosure,
+            conditions: list) -> DenseSystem:
+    """Rows x(a-i) = the closure's ghost i, a row
+    sum_j coeffs[j] nabla^j x(a + points[j]) = value for each side
+    condition (coeffs, points, value), then (L x)(t) = h(t) for t in
+    [N+1, b] as one block.
 
+    The ghost rows are side conditions too, with coeffs (1,) at point -i.
     Term s of the Caputo sum at tau puts (w H(tau-s+1)) (-1)^i C(N,i) on
     x(s-i).  Each (tau, i) is one slice update over s = 1..b for all rows,
     in the order tau = t, t-1 and i increasing; lags tau-s+1 <= 0 read
@@ -57,6 +61,13 @@ def _system(op: FracOperator, h: GridFunction, rows: list, rhs: list) -> DenseSy
     n = op.N
     b = op.b_offset
     lo = 1 - n
+    conditions = [((1.0,), (-i,), g)
+                  for i, g in enumerate(closure.ghost_values(n - 1), start=1)] + conditions
+    side = np.zeros((len(conditions), b + n))
+    for row, (coeffs, points, _) in zip(side, conditions):
+        for j, (cj, tj) in enumerate(zip(coeffs, points)):
+            for i in range(j + 1):
+                row[tj - i - lo] += cj * (-1) ** i * comb(j, i)
     kernel = np.array([taylor_monomial(k, n - op.nu - 1.0) for k in range(b + 1)])
     padded = np.concatenate((np.zeros(b), kernel))  # padded[b + k] = H(k); 0 for k < 0
     t = np.arange(n + 1, b + 1)
@@ -68,41 +79,17 @@ def _system(op: FracOperator, h: GridFunction, rows: list, rhs: list) -> DenseSy
         for i in range(n + 1):
             eq[:, 1 - i - lo:b + 1 - i - lo] += kern * (-1) ** i * comb(n, i)
     eq[np.arange(b - n), t - 1 - lo] += op.q.values
-    return DenseSystem(op.a, n, b, np.vstack(rows + [eq]),
-                       np.concatenate((rhs, h.values_on(op.a, n + 1, b))))
-
-
-def _closure_rows(closure: GhostClosure, n: int, lo: int, m: int):
-    rows, rhs = [], []
-    for i, g in enumerate(closure.ghost_values(n - 1), start=1):
-        row = np.zeros(m)
-        row[-i - lo] = 1.0
-        rows.append(row)
-        rhs.append(g)
-    return rows, rhs
-
-
-def _functional_row(coeffs: Sequence[float], points: Sequence[int], lo: int,
-                    m: int) -> np.ndarray:
-    """Row of sum_j coeffs[j] nabla^j x(a + points[j]) over x(lo), ..., x(b)."""
-    row = np.zeros(m)
-    for j, (cj, tj) in enumerate(zip(coeffs, points)):
-        for i in range(j + 1):
-            row[tj - i - lo] += cj * (-1) ** i * comb(j, i)
-    return row
+    return DenseSystem(op.a, n, b, np.vstack((side, eq)),
+                       np.concatenate(([v for *_, v in conditions], h.values_on(op.a, n + 1, b))))
 
 
 def assemble_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> DenseSystem:
     """Dense system for L x = h with nabla^i x(a+i) = A_i and ic.closure."""
     n = op.N
-    lo, m = 1 - n, op.b_offset + n
     if len(ic.values) != n + 1:
         raise ValueError(f"need {n + 1} initial values, got {len(ic.values)}")
-    rows, rhs = _closure_rows(ic.closure, n, lo, m)
-    for i, a_i in enumerate(ic.values):
-        rows.append(_functional_row(np.eye(n + 1)[i], range(n + 1), lo, m))
-        rhs.append(a_i)
-    return _system(op, h, rows, rhs)
+    return _system(op, h, ic.closure,
+                   [(e, range(n + 1), a_i) for e, a_i in zip(np.eye(n + 1), ic.values)])
 
 
 def assemble_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
@@ -112,14 +99,9 @@ def assemble_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
     n = op.N
     if spec.N != n:
         raise ValueError(f"spec has N={spec.N} but operator has N={n}")
-    lo, m = 1 - n, op.b_offset + n
-    rows, rhs = _closure_rows(closure, n, lo, m)
-    for i in range(n):
-        rows.append(_functional_row(spec.alpha[i], range(n + 1), lo, m))
-        rhs.append(spec.left_values[i])
-    rows.append(_functional_row(spec.beta, [op.b_offset] * (n + 1), lo, m))
-    rhs.append(spec.right_value)
-    return _system(op, h, rows, rhs)
+    return _system(op, h, closure,
+                   [(row, range(n + 1), v) for row, v in zip(spec.alpha, spec.left_values)]
+                   + [(spec.beta, [op.b_offset] * (n + 1), spec.right_value)])
 
 
 @dataclass(frozen=True, eq=False)

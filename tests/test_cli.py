@@ -484,6 +484,21 @@ class TestConfigNumbers:
         assert "check" not in out.out
         assert f"config field {field}" in out.err
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"nu": 0.6, "p": {"values": [1.0] * 8, "start": True}}, "p"),
+        ({"p": {"values": [1.0] * 7, "start": 2.0}}, "p"),
+        ({"nu": 0.6, "h": {"values": [1.0] * 7, "start": 2.0}}, "h"),
+    ])
+    def test_coefficient_start_must_be_an_integer(self, tmp_path, capsys, overrides, field):
+        # True == 1 and 2.0 == 2, so each start here names the right offset
+        cfg = ivp_config(**overrides)
+        cfg["problem"]["A"] = [0.0] * (math.ceil(cfg["nu"]) + 1)
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert out.err.startswith(f"error: config field '{field}'")
+
     @pytest.mark.parametrize("value, accepted", [
         (True, False), ("1", False), (None, False), (float("nan"), False),
         (float("inf"), False), (float("-inf"), False), (10**400, False),

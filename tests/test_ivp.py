@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +67,33 @@ class TestInitialConditions:
         oracle = np.linalg.solve(m, np.array(a_vals))
         assert ic_to_values(InitialConditions(a_vals)) == pytest.approx(tuple(oracle))
         assert ic_to_values(InitialConditions(a_vals)) == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_inverse_of_the_oracles_initial_rows(self, n):
+        # assemble_ivp's ghost and initial rows, applied to [zero ghosts;
+        # ic_to_values(A)], give back (0, ..., A); both halves are judged
+        # componentwise, since at N = 6 a max|x| scale does not bound the
+        # rounding of sums of C(i, j) A_j
+        rng = np.random.default_rng(n)
+        eps = np.finfo(float).eps
+        op = FracOperator.constant(0.0, n - 0.5, n + 1)
+        draws = [rng.uniform(-1, 1, n + 1) * 10.0 ** rng.uniform(-3, 3, n + 1)
+                 for _ in range(60)]
+        integers = [rng.integers(-1000, 1001, n + 1).astype(float) for _ in range(5)]
+        for a in draws + integers:
+            a = tuple(a.tolist())
+            x = ic_to_values(InitialConditions(a))
+            terms = [[math.comb(i, j) * Fraction(a[j]) for j in range(i + 1)] for i in range(n + 1)]
+            for i, (xi, t) in enumerate(zip(x, terms)):
+                # i products and i additions, each within eps/2 of the sum of |terms|
+                assert abs(Fraction(xi) - sum(t)) <= (i + 1) * eps * sum(map(abs, t))
+            rows = assemble_ivp(op, zero_forcing(op), InitialConditions(a)).matrix[:2 * n]
+            xv = np.concatenate(((0.0,) * (n - 1), x, np.zeros(op.b_offset - n)))
+            want = np.concatenate(((0.0,) * (n - 1), a))
+            assert np.all(np.abs(rows @ xv - want) <= 4 * eps * (np.abs(rows) @ np.abs(xv)))
+            if all(v.is_integer() for v in a):  # every product and partial sum is a small integer
+                assert x == tuple(float(sum(t)) for t in terms)
+                assert (rows @ xv).tolist() == want.tolist()
 
 
 class TestSolveIvp:

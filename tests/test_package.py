@@ -1,11 +1,13 @@
 import importlib.util
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import nablafrac
+from nablafrac import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,6 +19,15 @@ def test_every_exported_name_resolves():
 def test_readme_documents_every_exported_name():
     readme = (ROOT / "README.md").read_text()
     assert [name for name in nablafrac.__all__ if f"`{name}`" not in readme] == []
+
+
+def test_readme_config_example_verifies(tmp_path, capsys):
+    # the README's JSON config, run as its `verify --config problem.json` line runs it
+    example = re.search(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    path = tmp_path / "problem.json"
+    path.write_text(example.group(1))
+    assert cli.main(["verify", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("verify: all checks passed\n")
 
 
 def _tracing():
