@@ -35,6 +35,17 @@ import numpy as np
 
 DEFAULT_TOL = 1e-8
 
+# The keys each config object may hold: the root, a p/q/h coefficient, problem.ghost
+# and the problem of each type.  Any other key is a config error.
+_KEYS = {
+    "root": ("a", "b_offset", "nu", "p", "q", "h", "problem"),
+    "coefficient": ("values", "start"),
+    "ghost": ("mode", "values"),
+    "ivp": ("type", "A", "ghost"),
+    "bvp": ("type", "alpha", "A", "beta", "B"),
+    "greens": ("type", "conjugate"),
+}
+
 
 class ConfigError(ValueError):
     """An invalid config field, named in the message."""
@@ -95,20 +106,31 @@ def _require(cfg: dict, field: str, types) -> object:
     return v
 
 
+def _object(value, field: str, kind: str) -> dict:
+    """value if it is an object with no key outside _KEYS[kind], else a ConfigError
+    naming field (the object's path, "" for the root) or the key's full path."""
+    if not isinstance(value, dict):
+        raise ConfigError(field or "<root>", "must be an object")
+    for key in value:
+        if key not in _KEYS[kind]:
+            raise ConfigError(f"{field}.{key}" if field else key,
+                              f"unknown key; the object takes {', '.join(_KEYS[kind])}")
+    return value
+
+
 def _coefficient(cfg: dict, field: str, a: float, lo: int, hi: int) -> GridFunction:
     """Constant or tabulated coefficient covering offsets [lo, hi] exactly."""
     spec = _require(cfg, field, (int, float, dict))
     if isinstance(spec, (int, float)):
         return GridFunction(Grid(a, lo, hi), np.full(hi - lo + 1, float(spec)))
+    _object(spec, field, "coefficient")
     values = _numbers(spec.get("values"), f"{field}.values")
     start = spec.get("start", lo)
     if type(start) is not int:  # a bool is an int, and 2.0 == 2
         raise ConfigError(field, f"start must be an integer, got {start!r}")
     if start != lo or len(values) != hi - lo + 1:
-        raise ConfigError(
-            field,
-            f"must cover offsets [{lo}, {hi}] exactly (start={start}, {len(values)} values)",
-        )
+        raise ConfigError(field, f"must cover offsets [{lo}, {hi}] exactly "
+                                 f"(start={start}, {len(values)} values)")
     return GridFunction(Grid(a, lo, hi), values)
 
 
@@ -120,9 +142,7 @@ def load_config(path: str) -> dict:
         raise ArgumentError("--config", str(exc))
     except json.JSONDecodeError as exc:
         raise ConfigError("<json>", f"line {exc.lineno}: {exc.msg}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("<root>", "top-level value must be an object")
-    return cfg
+    return _object(cfg, "", "root")
 
 
 def build_operator(cfg: dict) -> FracOperator:
@@ -144,24 +164,18 @@ def build_forcing(cfg: dict, op: FracOperator) -> GridFunction:
     return _coefficient(cfg, "h", op.a, op.N + 1, op.b_offset)
 
 
-def _ghost_closure(spec: dict | None) -> GhostClosure:
-    if spec is None:
-        return GhostClosure.zero()
-    if not isinstance(spec, dict):
-        raise ConfigError("problem.ghost", "expected an object")
-    mode = spec.get("mode", "zero")
-    if mode == "zero":
-        return GhostClosure.zero()
-    if mode == "explicit":
-        return GhostClosure.explicit(*_numbers(spec.get("values", []), "problem.ghost.values"))
-    raise ConfigError("problem.ghost.mode", f"unknown mode {mode!r}")
-
-
 def build_initial_conditions(problem: dict, op: FracOperator) -> InitialConditions:
     a_vals = _numbers(problem.get("A"), "problem.A")
     if len(a_vals) != op.N + 1:
         raise ConfigError("problem.A", f"expected {op.N + 1} numbers")
-    closure = _ghost_closure(problem.get("ghost"))
+    ghost = _object(problem.get("ghost", {}), "problem.ghost", "ghost")
+    mode = ghost.get("mode", "zero")
+    if mode not in ("zero", "explicit"):
+        raise ConfigError("problem.ghost.mode", f"unknown mode {mode!r}")
+    if mode == "zero" and "values" in ghost:
+        raise ConfigError("problem.ghost.values", 'only "mode": "explicit" takes values')
+    values = _numbers(ghost.get("values", []), "problem.ghost.values")
+    closure = GhostClosure.explicit(*values) if mode == "explicit" else GhostClosure.zero()
     try:
         closure.ghost_values(op.N - 1)  # a wrong explicit ghost count is a config error
         return InitialConditions(a_vals, closure)
@@ -188,11 +202,18 @@ def build_boundary_spec(problem: dict, op: FracOperator) -> BoundarySpec:
     return spec
 
 
-def _problem(cfg: dict, expected: str) -> dict:
+def _problem(cfg: dict, *kinds: str) -> tuple[str, dict]:
+    """The problem's type, one of kinds, and its object, with its keys and conjugate checked."""
     problem = _require(cfg, "problem", dict)
-    if problem.get("type") != expected:
-        raise ConfigError("problem.type", f"expected {expected!r}, got {problem.get('type')!r}")
-    return problem
+    kind = problem.get("type")
+    if kind not in kinds:
+        expected = " or ".join(map(repr, kinds))
+        raise ConfigError("problem.type", f"expected {expected}, got {kind!r}")
+    _object(problem, "problem", kind)
+    if not isinstance(problem.get("conjugate", False), bool):
+        raise ConfigError("problem.conjugate",
+                          f"expected true or false, got {problem['conjugate']!r}")
+    return kind, problem
 
 
 def _write_csv(out: str | None, header: Sequence[str], rows) -> None:
@@ -204,12 +225,6 @@ def _write_csv(out: str | None, header: Sequence[str], rows) -> None:
         writer = csv.writer(stream)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _solution_rows(x: GridFunction):
-    base = x.grid.base
-    for k in x.grid.offsets():
-        yield (k, _fmt(base + k), _fmt(x.at(k)))
 
 
 def cmd_monomial(args) -> int:
@@ -236,23 +251,18 @@ def cmd_cauchy(args) -> int:
     return 0
 
 
-def cmd_solve_ivp(args) -> int:
+def cmd_solve(args) -> int:
+    """solve-ivp or solve-bvp, on a config of the problem type the command names."""
     cfg = load_config(args.config)
     op = build_operator(cfg)
     h = build_forcing(cfg, op)
-    ic = build_initial_conditions(_problem(cfg, "ivp"), op)
-    x = solve_ivp(op, h, ic)
-    _write_csv(args.out, ("offset", "t", "x"), _solution_rows(x))
-    return 0
-
-
-def cmd_solve_bvp(args) -> int:
-    cfg = load_config(args.config)
-    op = build_operator(cfg)
-    h = build_forcing(cfg, op)
-    spec = build_boundary_spec(_problem(cfg, "bvp"), op)
-    x = solve_bvp(op, h, spec)
-    _write_csv(args.out, ("offset", "t", "x"), _solution_rows(x))
+    kind, problem = _problem(cfg, args.command.removeprefix("solve-"))
+    if kind == "ivp":
+        x = solve_ivp(op, h, build_initial_conditions(problem, op))
+    else:
+        x = solve_bvp(op, h, build_boundary_spec(problem, op))
+    rows = ((k, _fmt(x.grid.base + k), _fmt(x.at(k))) for k in x.grid.offsets())
+    _write_csv(args.out, ("offset", "t", "x"), rows)
     return 0
 
 
@@ -281,12 +291,9 @@ def _greens_from_args(args):
         if params:
             raise ArgumentError(args.params[0], "key=value parameters cannot be used with --config")
         cfg = load_config(args.config)
-        problem = _problem(cfg, "greens")
+        _, problem = _problem(cfg, "greens")
         op = build_operator(cfg)
-        conjugate = problem.get("conjugate", False)
-        if not isinstance(conjugate, bool):
-            raise ConfigError("problem.conjugate", f"expected true or false, got {conjugate!r}")
-        if conjugate:
+        if problem.get("conjugate", False):
             if not op.is_basic():
                 raise ConfigError("problem.conjugate", "requires p == 1 and q == 0")
             return conjugate_greens_closed_form(op.a, op.b, op.nu)
@@ -376,20 +383,17 @@ def _verify_checks(cfg: dict):
     """
     op = build_operator(cfg)
     h = build_forcing(cfg, op)
-    problem = _require(cfg, "problem", dict)
-    kind = problem.get("type")
+    kind, problem = _problem(cfg, "ivp", "bvp", "greens")
     if kind == "ivp":
         ic = build_initial_conditions(problem, op)
         dense_sys = assemble_ivp(op, h, ic)
     elif kind == "bvp":
         spec = build_boundary_spec(problem, op)
         dense_sys = assemble_bvp(op, h, spec, GhostClosure.zero())
-    elif kind == "greens":
+    else:
         if not op.is_basic() or op.N != 2:
             raise ConfigError("problem", "greens verification needs p == 1, q == 0, nu in (1,2)")
         dense_sys = assemble_ivp(op, h, InitialConditions.zeros(op.N))
-    else:
-        raise ConfigError("problem.type", f"unknown type {kind!r}")
     eq_rows = dense_sys.matrix[2 * op.N:]
 
     def equation_residual(x):
@@ -468,20 +472,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_monomial)
 
-    p = sub.add_parser("cauchy", help="tabulate the Cauchy function columns")
-    _add_config(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_cauchy)
-
-    p = sub.add_parser("solve-ivp", help="solve an initial value problem")
-    _add_config(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_solve_ivp)
-
-    p = sub.add_parser("solve-bvp", help="solve an (N,1) boundary value problem")
-    _add_config(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_solve_bvp)
+    for name, func, text in (
+        ("cauchy", cmd_cauchy, "tabulate the Cauchy function columns"),
+        ("solve-ivp", cmd_solve, "solve an initial value problem"),
+        ("solve-bvp", cmd_solve, "solve an (N,1) boundary value problem"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_config(p)
+        _add_out(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("greens", help="tabulate a Green's function")
     _add_config(p, required=False)

@@ -143,6 +143,17 @@ class TestSolveIvp:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("command", ["solve-ivp", "verify"])
+    @pytest.mark.parametrize("ghost", [{"values": [5.0]}, {"mode": "zero", "values": [5.0]}])
+    def test_ghost_values_need_the_explicit_mode(self, tmp_path, capsys, command, ghost):
+        # values beside the zero mode were dropped: x(8) came out 37.35, not 49.72
+        cfg = ivp_config(problem={"type": "ivp", "A": [0.1, -0.2, 0.3], "ghost": ghost})
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert out.err.startswith("error: config field 'problem.ghost.values'")
+
 
 class TestCauchy:
     def test_rows_are_the_cauchy_function_columns(self, tmp_path):
@@ -580,6 +591,16 @@ def test_base_beyond_2_53_exits_one_before_any_output(tmp_path, capsys, command,
     assert out.err.startswith("error: ") and "a = 1e+17" in out.err
 
 
+@pytest.mark.parametrize("command", ["greens", "verify"])
+def test_every_command_refuses_a_conjugate_that_is_not_a_bool(tmp_path, capsys, command):
+    cfg = ivp_config(problem={"type": "greens", "conjugate": "yes"})
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: config field 'problem.conjugate': "
+                                    "expected true or false, got 'yes'"]
+
+
 # Valid configs (b <= 12) for the mutation test, and the solve command of each.
 MUTANT_BASES = {
     "ivp": {"a": 0.0, "b_offset": 8, "nu": 1.5,
@@ -595,9 +616,47 @@ MUTANT_BASES = {
                "problem": {"type": "greens", "conjugate": False}},
 }
 SOLVE_COMMANDS = {"ivp": "solve-ivp", "bvp": "solve-bvp", "greens": "greens"}
-_DELETE, _HUGE = object(), "<1e400>"  # 1e400 overflows to inf as JSON reads it
-MUTATIONS = [_DELETE, None, "text", True, math.nan, _HUGE, [1.0, 2.0], {"k": 1}, 0, -3, -2.5,
-             10**30]
+_DELETE, _UNKNOWN_KEY, _HUGE = object(), object(), "<1e400>"  # JSON reads 1e400 as inf
+MUTATIONS = [_DELETE, _UNKNOWN_KEY, None, "text", True, math.nan, _HUGE, [1.0, 2.0], {"k": 1},
+             0, -3, -2.5, 10**30]
+
+
+def _tabulated(cfg):
+    """A copy of cfg with a constant p and h written as {"values", "start"} objects."""
+    cfg = copy.deepcopy(cfg)
+    n, b = math.ceil(cfg["nu"]), cfg["b_offset"]
+    for name, lo in (("p", n), ("h", n + 1)):
+        if not isinstance(cfg[name], dict):
+            cfg[name] = {"values": [float(cfg[name])] * (b - lo + 1), "start": lo}
+    return cfg
+
+
+# greens --config reads neither h nor a ghost, and every other command reads each object here
+@pytest.mark.parametrize("command, kind, path", [
+    *[(cmd, kind, path) for path in ("tol", "p.strat") for cmd, kind in
+      [("solve-ivp", "ivp"), ("solve-bvp", "bvp"), ("greens", "greens"), ("verify", "ivp")]],
+    *[(cmd, kind, "h.strat") for cmd, kind in [("solve-ivp", "ivp"), ("solve-bvp", "bvp"),
+                                                ("verify", "greens")]],
+    ("solve-ivp", "ivp", "problem.gost"), ("verify", "ivp", "problem.gost"),
+    ("solve-bvp", "bvp", "problem.Bb"), ("verify", "bvp", "problem.Bb"),
+    ("greens", "greens", "problem.conjugat"), ("verify", "greens", "problem.conjugat"),
+    ("solve-ivp", "ivp", "problem.ghost.modee"), ("verify", "ivp", "problem.ghost.modee"),
+])
+def test_unknown_key_at_any_level_is_config_error(tmp_path, capsys, command, kind, path):
+    # a misspelled optional key was ignored, so it changed the answer without a word
+    cfg = _tabulated(MUTANT_BASES[kind])
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 0
+    capsys.readouterr()
+    *parents, key = path.split(".")
+    obj = cfg
+    for name in parents:
+        obj = obj[name]
+    obj[key] = 7
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith(f"error: config field '{path}'")
 
 
 def _field_paths(node, prefix=()):
@@ -615,13 +674,17 @@ MUTANT_FIELDS = [(kind, path) for kind, cfg in MUTANT_BASES.items() for path in 
 
 
 def _mutated(kind, path, value) -> str:
-    """The config text with the field at path deleted or set to value."""
+    """The config text with the field at path deleted or set to value, or with
+    an unknown key in the innermost object that holds the field."""
     cfg = copy.deepcopy(MUTANT_BASES[kind])
-    parent = cfg
+    parents = [cfg]
     for key in path[:-1]:
-        parent = parent[key]
+        parents.append(parents[-1][key])
+    parent = parents[-1]
     if value is _DELETE:
         del parent[path[-1]]
+    elif value is _UNKNOWN_KEY:
+        next(p for p in reversed(parents) if isinstance(p, dict))["unknown"] = 1.0
     else:
         parent[path[-1]] = value
     return json.dumps(cfg).replace(f'"{_HUGE}"', "1e400")
@@ -656,6 +719,8 @@ def test_mutated_config_exits_with_a_documented_code(tmp_path_factory, field, va
             assert err == ""
         if code == 1:  # an invalid config is refused before the first check
             assert "check" not in out
+        if value is _UNKNOWN_KEY:  # every object in the bases is read by both commands
+            assert code == 1, (argv, code)
 
 
 def _module_env():
