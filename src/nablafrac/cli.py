@@ -34,16 +34,21 @@ from .oracle import assemble_bvp, assemble_ivp, dense_solve, probe_equation_rows
 import numpy as np
 
 DEFAULT_TOL = 1e-8
+_FLOAT_MAX = sys.float_info.max
 
-# The keys each config object may hold: the root, a p/q/h coefficient, problem.ghost
-# and the problem of each type.  Any other key is a config error.
-_KEYS = {
-    "root": ("a", "b_offset", "nu", "p", "q", "h", "problem"),
-    "coefficient": ("values", "start"),
-    "ghost": ("mode", "values"),
-    "ivp": ("type", "A", "ghost"),
-    "bvp": ("type", "alpha", "A", "beta", "B"),
-    "greens": ("type", "conjugate"),
+# What each value of a config object must be, by object and key: a JSON type (a
+# key of _TYPES), another row of this table (an object holding only that row's
+# keys), a tuple of these (any one; rows are told apart by their "type"), or a
+# list of the strings it may be.  load_config checks each whole file against it.
+_COEFFICIENT = ("number", "coefficient")
+_FIELDS = {
+    "root": {"a": "number", "b_offset": "integer", "nu": "number", "p": _COEFFICIENT,
+             "q": _COEFFICIENT, "h": _COEFFICIENT, "problem": ("ivp", "bvp", "greens")},
+    "coefficient": {"values": "numbers", "start": "integer"},
+    "ghost": {"mode": ["zero", "explicit"], "values": "numbers"},
+    "ivp": {"type": ["ivp"], "A": "numbers", "ghost": "ghost"},
+    "bvp": {"type": ["bvp"], "alpha": "matrix", "A": "numbers", "beta": "numbers", "B": "number"},
+    "greens": {"type": ["greens"], "conjugate": "bool"},
 }
 
 
@@ -68,24 +73,59 @@ def _fmt(v: float) -> str:
 
 
 def _is_number(v) -> bool:
-    """A finite int or float; json.load reads NaN and Infinity, and a bool is an int."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int too large for a float
-        return False
+    """A finite int or float: json.load reads NaN and Infinity, type() refuses a bool,
+    and an int too large for a float compares beyond _FLOAT_MAX exactly."""
+    return type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
 
 
-def _numbers(values, field: str) -> list:
-    """values if it is a list of finite numbers, else a ConfigError naming field."""
-    try:  # type() refuses bools; np.array raises OverflowError on an int too large for a float
-        if (isinstance(values, list) and set(map(type, values)) <= {int, float}
-                and np.isfinite(np.array(values, dtype=float)).all()):
-            return values
-    except OverflowError:
-        pass
-    raise ConfigError(field, "expected a list of finite numbers")
+# JSON type: (what it is, its check).  A list is checked entry by entry, by the
+# one rule for a number, so no entry fares otherwise than it would alone.
+_TYPES = {
+    "number": ("a finite number", _is_number),
+    "integer": ("an integer", lambda v: type(v) is int and _is_number(v)),
+    "numbers": ("a list of finite numbers",
+                lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "matrix": ("a list of lists of finite numbers",
+               lambda v: isinstance(v, list) and all(map(_TYPES["numbers"][1], v))),
+    "bool": ("true or false", lambda v: type(v) is bool),
+}
+_ENTRIES = {"numbers": "number", "matrix": "numbers"}  # the type of a list type's entries
+
+
+def _found(value, spec=None, index: str = "") -> str:
+    """value in JSON terms.  A value of one of spec's list types is shown by its
+    first entry at fault and that entry's index, so no list is written out."""
+    if isinstance(value, list) and spec in _ENTRIES:
+        i = next(i for i, v in enumerate(value) if not _TYPES[_ENTRIES[spec]][1](v))
+        return _found(value[i], _ENTRIES[spec], f"{index}[{i}]")
+    text = ("an object" if isinstance(value, dict) else "a list" if isinstance(value, list)
+            else repr(value) if isinstance(value, str)
+            else "an integer too large for a float" if type(value) is int and not _is_number(value)
+            else json.dumps(value))  # true, false, null, NaN, Infinity or a finite number
+    return f"{text} at {index}" if index else text
+
+
+def _read(value, path: str, spec) -> None:
+    """Check value, at path in the config, and every value below it against spec
+    (see _FIELDS); a ConfigError names the path of the first value at fault."""
+    if isinstance(spec, list):
+        if not (isinstance(value, str) and value in spec):
+            raise ConfigError(path, f"expected {' or '.join(map(repr, spec))}, got {_found(value)}")
+        return
+    specs = spec if isinstance(spec, tuple) else (spec,)
+    objects = [s for s in specs if s in _FIELDS]
+    if objects and isinstance(value, dict):
+        if len(objects) > 1:
+            _read(value.get("type"), f"{path}.type", objects)
+        row = _FIELDS[value["type"] if len(objects) > 1 else objects[0]]
+        for key, v in value.items():
+            at = f"{path}.{key}" if path else key
+            if key not in row:
+                raise ConfigError(at, f"unknown key; the object takes {', '.join(row)}")
+            _read(v, at, row[key])
+    elif not any(_TYPES[s][1](value) for s in specs if s in _TYPES):
+        what = dict.fromkeys(_TYPES[s][0] if s in _TYPES else "an object" for s in specs)
+        raise ConfigError(path, f"expected {' or '.join(what)}, got {_found(value, spec)}")
 
 
 def _finite(name: str, v: float) -> float:
@@ -95,39 +135,21 @@ def _finite(name: str, v: float) -> float:
     return v
 
 
-def _require(cfg: dict, field: str, types) -> object:
-    if field not in cfg:
-        raise ConfigError(field, "missing")
-    v = cfg[field]
-    if isinstance(v, bool) or not isinstance(v, types):
-        raise ConfigError(field, f"expected {types}, got {type(v).__name__}")
-    if isinstance(v, (int, float)) and not _is_number(v):
-        raise ConfigError(field, f"must be finite, got {v}")
-    return v
-
-
-def _object(value, field: str, kind: str) -> dict:
-    """value if it is an object with no key outside _KEYS[kind], else a ConfigError
-    naming field (the object's path, "" for the root) or the key's full path."""
-    if not isinstance(value, dict):
-        raise ConfigError(field or "<root>", "must be an object")
-    for key in value:
-        if key not in _KEYS[kind]:
-            raise ConfigError(f"{field}.{key}" if field else key,
-                              f"unknown key; the object takes {', '.join(_KEYS[kind])}")
-    return value
+def _require(obj: dict, path: str) -> object:
+    """obj's value at the last key of path, else a ConfigError naming path."""
+    key = path.rpartition(".")[2]
+    if key not in obj:
+        raise ConfigError(path, "missing")
+    return obj[key]
 
 
 def _coefficient(cfg: dict, field: str, a: float, lo: int, hi: int) -> GridFunction:
     """Constant or tabulated coefficient covering offsets [lo, hi] exactly."""
-    spec = _require(cfg, field, (int, float, dict))
-    if isinstance(spec, (int, float)):
+    spec = _require(cfg, field)
+    if not isinstance(spec, dict):
         return GridFunction(Grid(a, lo, hi), np.full(hi - lo + 1, float(spec)))
-    _object(spec, field, "coefficient")
-    values = _numbers(spec.get("values"), f"{field}.values")
+    values = _require(spec, f"{field}.values")
     start = spec.get("start", lo)
-    if type(start) is not int:  # a bool is an int, and 2.0 == 2
-        raise ConfigError(field, f"start must be an integer, got {start!r}")
     if start != lo or len(values) != hi - lo + 1:
         raise ConfigError(field, f"must cover offsets [{lo}, {hi}] exactly "
                                  f"(start={start}, {len(values)} values)")
@@ -135,6 +157,7 @@ def _coefficient(cfg: dict, field: str, a: float, lo: int, hi: int) -> GridFunct
 
 
 def load_config(path: str) -> dict:
+    """The config at path, with every value checked against _FIELDS."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -142,13 +165,16 @@ def load_config(path: str) -> dict:
         raise ArgumentError("--config", str(exc))
     except json.JSONDecodeError as exc:
         raise ConfigError("<json>", f"line {exc.lineno}: {exc.msg}")
-    return _object(cfg, "", "root")
+    if not isinstance(cfg, dict):  # the file itself, which no key names
+        raise ConfigError("<root>", f"must be an object, got {_found(cfg)}")
+    _read(cfg, "", "root")
+    return cfg
 
 
 def build_operator(cfg: dict) -> FracOperator:
-    a = float(_require(cfg, "a", (int, float)))
-    b_off = _require(cfg, "b_offset", int)
-    nu = float(_require(cfg, "nu", (int, float)))
+    a = float(_require(cfg, "a"))
+    b_off = _require(cfg, "b_offset")
+    nu = float(_require(cfg, "nu"))
     try:
         n = fractional_order_n(nu)
     except ValueError as exc:
@@ -165,36 +191,25 @@ def build_forcing(cfg: dict, op: FracOperator) -> GridFunction:
 
 
 def build_initial_conditions(problem: dict, op: FracOperator) -> InitialConditions:
-    a_vals = _numbers(problem.get("A"), "problem.A")
+    a_vals = _require(problem, "problem.A")
     if len(a_vals) != op.N + 1:
         raise ConfigError("problem.A", f"expected {op.N + 1} numbers")
-    ghost = _object(problem.get("ghost", {}), "problem.ghost", "ghost")
-    mode = ghost.get("mode", "zero")
-    if mode not in ("zero", "explicit"):
-        raise ConfigError("problem.ghost.mode", f"unknown mode {mode!r}")
-    if mode == "zero" and "values" in ghost:
+    ghost = problem.get("ghost", {})
+    explicit = ghost.get("mode") == "explicit"
+    if "values" in ghost and not explicit:
         raise ConfigError("problem.ghost.values", 'only "mode": "explicit" takes values')
-    values = _numbers(ghost.get("values", []), "problem.ghost.values")
-    closure = GhostClosure.explicit(*values) if mode == "explicit" else GhostClosure.zero()
+    closure = GhostClosure.explicit(*ghost.get("values", ())) if explicit else GhostClosure.zero()
     try:
         closure.ghost_values(op.N - 1)  # a wrong explicit ghost count is a config error
-        return InitialConditions(a_vals, closure)
     except ValueError as exc:
         raise ConfigError("problem.ghost", str(exc))
+    return InitialConditions(a_vals, closure)
 
 
 def build_boundary_spec(problem: dict, op: FracOperator) -> BoundarySpec:
-    alpha = problem.get("alpha", [])
-    if not isinstance(alpha, list):
-        raise ConfigError("problem.alpha", "expected a list of rows")
-    alpha = tuple(tuple(_numbers(row, "problem.alpha")) for row in alpha)
-    left = tuple(_numbers(problem.get("A", []), "problem.A"))
-    beta = tuple(_numbers(problem.get("beta", []), "problem.beta"))
-    right = problem.get("B", 0.0)
-    if not _is_number(right):
-        raise ConfigError("problem.B", "expected a finite number")
     try:
-        spec = BoundarySpec(alpha, left, beta, right)
+        spec = BoundarySpec(problem.get("alpha", ()), problem.get("A", ()),
+                            problem.get("beta", ()), problem.get("B", 0.0))
     except ValueError as exc:
         raise ConfigError("problem", str(exc))
     if spec.N != op.N:
@@ -203,17 +218,10 @@ def build_boundary_spec(problem: dict, op: FracOperator) -> BoundarySpec:
 
 
 def _problem(cfg: dict, *kinds: str) -> tuple[str, dict]:
-    """The problem's type, one of kinds, and its object, with its keys and conjugate checked."""
-    problem = _require(cfg, "problem", dict)
-    kind = problem.get("type")
-    if kind not in kinds:
-        expected = " or ".join(map(repr, kinds))
-        raise ConfigError("problem.type", f"expected {expected}, got {kind!r}")
-    _object(problem, "problem", kind)
-    if not isinstance(problem.get("conjugate", False), bool):
-        raise ConfigError("problem.conjugate",
-                          f"expected true or false, got {problem['conjugate']!r}")
-    return kind, problem
+    """The problem's type, one of kinds, and its object."""
+    problem = _require(cfg, "problem")
+    _read(problem["type"], "problem.type", list(kinds))
+    return problem["type"], problem
 
 
 def _write_csv(out: str | None, header: Sequence[str], rows) -> None:
@@ -230,10 +238,8 @@ def _write_csv(out: str | None, header: Sequence[str], rows) -> None:
 def cmd_monomial(args) -> int:
     _finite("--nu", args.nu)
     _finite("--a", args.a)
-    rows = (
-        (k, _fmt(args.a + k), _fmt(taylor_monomial(k, args.nu)))
-        for k in range(args.lo, args.hi + 1)
-    )
+    rows = ((k, _fmt(args.a + k), _fmt(taylor_monomial(k, args.nu)))
+            for k in range(args.lo, args.hi + 1))
     _write_csv(args.out, ("offset", "t", "H"), rows)
     return 0
 
@@ -242,11 +248,8 @@ def cmd_cauchy(args) -> int:
     cfg = load_config(args.config)
     op = build_operator(cfg)
     cf = cauchy_function(op)
-    rows = []
-    for s in cf.s_offsets():
-        col = cf.column(s)
-        for k in col.grid.offsets():
-            rows.append((k, _fmt(op.a + k), s, _fmt(op.a + s), _fmt(col.at(k))))
+    rows = [(k, _fmt(op.a + k), s, _fmt(op.a + s), _fmt(col.at(k)))
+            for s in cf.s_offsets() for col in [cf.column(s)] for k in col.grid.offsets()]
     _write_csv(args.out, ("t_offset", "t", "s_offset", "s", "x"), rows)
     return 0
 
@@ -311,13 +314,8 @@ def _greens_from_args(args):
 
 def cmd_greens(args) -> int:
     g = _greens_from_args(args)
-    rows = []
-    for t in range(g.t_lo, g.b_offset + 1):
-        for s in range(g.s_lo, g.b_offset + 1):
-            rows.append((
-                t, _fmt(g.a + t), s, _fmt(g.a + s),
-                _fmt(g.value(t, s)), g.branch_of(t, s),
-            ))
+    rows = [(t, _fmt(g.a + t), s, _fmt(g.a + s), _fmt(g.value(t, s)), g.branch_of(t, s))
+            for t in range(g.t_lo, g.b_offset + 1) for s in range(g.s_lo, g.b_offset + 1)]
     _write_csv(args.out, ("t_offset", "t", "s_offset", "s", "G", "branch"), rows)
     return 0
 
@@ -332,18 +330,14 @@ def _ratio(num: float, den: float) -> float:
 
 
 def _scaled(res: float, matrix: np.ndarray, x: np.ndarray, rhs) -> tuple[float, str]:
-    """res / (||matrix|| ||x|| + ||rhs||) in the inf-norm, then a report of both.
-
-    ||matrix|| is its largest absolute row sum; x covers its columns and
-    rhs its rows.
-    """
+    """res / (||matrix|| ||x|| + ||rhs||) in the inf-norm, then a report of both;
+    ||matrix|| is its largest absolute row sum, x covers its columns and rhs its rows."""
     size = np.abs(matrix).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
     scaled = _ratio(res, float(size))
     return scaled, f"max residual {res:.3e}, scaled {scaled:.3e}"
 
 
-def _boundary_residual(x: GridFunction, spec: BoundarySpec,
-                       op: FracOperator) -> tuple[float, str]:
+def _boundary_residual(x: GridFunction, spec: BoundarySpec, op: FracOperator) -> tuple[float, str]:
     """||Bx - c||, scaled, with B = boundary_rows and c the boundary values."""
     rows = boundary_rows(spec, op.b_offset)
     xs = x.values_on(op.a, -(op.N - 1), op.b_offset)
@@ -359,11 +353,8 @@ def _relative_gap(x: GridFunction, ref: GridFunction) -> tuple[float, str]:
 
 
 def _oracle_gap(x: GridFunction, dense_sys) -> tuple[float, str, float]:
-    """_relative_gap from the dense oracle's answer, with the oracle's cond_1.
-
-    The oracle's own answer may be off by about cond_1 * eps of max|x|,
-    so that is the check's tolerance scale.
-    """
+    """_relative_gap from the dense oracle's answer, with the oracle's cond_1; that
+    answer may be off by about cond_1 * eps of max|x|, the check's tolerance scale."""
     ref = dense_solve(dense_sys)
     rel, report = _relative_gap(x, ref)
     return rel, f"{report}, oracle cond1 {ref.cond:.3e}", ref.cond * np.finfo(float).eps
@@ -378,8 +369,8 @@ def _verify_checks(cfg: dict):
     gap relative to max|x| of the reference answer; ``report`` also
     gives the absolute value.  The tolerance is the larger of the
     configured one and the scale, when there is one: the oracle
-    agreement checks scale by the oracle's cond_1 * eps.  The config is
-    validated before the first check.
+    agreement checks scale by the oracle's cond_1 * eps.  The problem
+    is built before the first check.
     """
     op = build_operator(cfg)
     h = build_forcing(cfg, op)
@@ -424,16 +415,14 @@ def _verify_checks(cfg: dict):
 
 
 def cmd_verify(args) -> int:
-    tol = DEFAULT_TOL
     env = os.environ.get("NABLA_GREEN_TOL")
-    if env is not None:
-        try:
-            tol = float(env)
-        except ValueError:
-            tol = math.nan
-        if not (math.isfinite(tol) and tol > 0):
-            print(f"error: NABLA_GREEN_TOL={env!r} is not a finite number > 0", file=sys.stderr)
-            return 1
+    try:
+        tol = DEFAULT_TOL if env is None else float(env)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        print(f"error: NABLA_GREEN_TOL={env!r} is not a finite number > 0", file=sys.stderr)
+        return 1
     cfg = load_config(args.config)
     failed = None
     for idx, (name, measured, report, scale) in enumerate(_verify_checks(cfg)):
@@ -458,10 +447,8 @@ def _add_out(p):
 
 @functools.lru_cache(maxsize=None)  # built once per process
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nablafrac",
-        description="Discrete nabla fractional calculus solvers",
-    )
+    parser = argparse.ArgumentParser(prog="nablafrac",
+                                     description="Discrete nabla fractional calculus solvers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("monomial", help="print a Taylor monomial table")

@@ -17,7 +17,7 @@ one matrix-vector product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isfinite
 from operator import mul
 
 import numpy as np
@@ -40,6 +40,8 @@ class InitialConditions:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not all(map(isfinite, self.values)):
+            raise ValueError("initial values must be finite")
 
     @classmethod
     def zeros(cls, n: int) -> "InitialConditions":

@@ -10,6 +10,7 @@ consumes (see :class:`GhostClosure`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,8 @@ class GhostClosure:
     def __post_init__(self):
         if self.values is not None:
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+            if not all(map(math.isfinite, self.values)):
+                raise ValueError("ghost values must be finite")
 
     @classmethod
     def zero(cls) -> "GhostClosure":

@@ -508,22 +508,48 @@ class TestConfigNumbers:
         out = capsys.readouterr()
         assert out.out == ""
         assert len(out.err.splitlines()) == 1
-        assert out.err.startswith(f"error: config field '{field}'")
+        assert out.err.startswith(f"error: config field '{field}.start': expected an integer, got ")
 
     @pytest.mark.parametrize("value, accepted", [
         (True, False), ("1", False), (None, False), (float("nan"), False),
         (float("inf"), False), (float("-inf"), False), (10**400, False),
         (-0.0, True), (1e308, True), ([1.0], False),
     ])
-    def test_number_lists_accept_what_each_value_check_accepts(self, value, accepted):
-        # the list is checked as one array; each value must fare as _is_number says
+    def test_number_lists_accept_what_each_value_check_accepts(self, tmp_path, value, accepted):
+        # one rule judges a number, so a list entry fares as the same value does alone
         assert cli._is_number(value) == accepted
-        for values in ([value], [1.0, value, 2]):
+        for overrides, field in [({"a": value}, "'a'"),
+                                 *[({"problem": {"type": "ivp", "A": values}}, "'problem.A'")
+                                   for values in ([value], [1.0, value, 2])]]:
+            path = write_config(tmp_path, ivp_config(**overrides))
             if accepted:
-                assert cli._numbers(values, "f") is values
+                cli.load_config(path)
             else:
-                with pytest.raises(cli.ConfigError, match="'f'"):
-                    cli._numbers(values, "f")
+                with pytest.raises(cli.ConfigError, match=field):
+                    cli.load_config(path)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"nu": "1.5"}, "'nu': expected a finite number, got '1.5'"),
+        ({"b_offset": 8.0}, "'b_offset': expected an integer, got 8.0"),
+        ({"problem": []}, "'problem': expected an object, got a list"),
+        ({"p": [1.0]}, "'p': expected a finite number or an object, got a list"),
+        ({"h": {"values": [0.0] * 6 + [float("inf")], "start": 3}},
+         "'h.values': expected a list of finite numbers, got Infinity at [6]"),
+        ({"problem": {"type": "bvp", "alpha": [[1.0, 0.0, 0.0], [0.0, True, 0.0]]}},
+         "'problem.alpha': expected a list of lists of finite numbers, got true at [1][1]"),
+        ({"problem": {"type": "ivp", "A": [0.0, 0.0, 0.0], "ghost": {"mode": None}}},
+         "'problem.ghost.mode': expected 'zero' or 'explicit', got null"),
+        ({"problem": {"A": [0.0, 0.0, 0.0]}},
+         "'problem.type': expected 'ivp' or 'bvp' or 'greens', got null"),
+        ({"a": 10**400}, "'a': expected a finite number, got an integer too large for a float"),
+    ])
+    def test_refusals_say_what_was_expected_and_found_in_json_terms(self, tmp_path, capsys,
+                                                                     overrides, message):
+        # a refusal printed Python types: expected (<class 'int'>, <class 'float'>), got str
+        assert main(["solve-ivp", "--config", write_config(tmp_path, ivp_config(**overrides))]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"error: config field {message}"]
 
 
 GREENS_NU_2_5 = {"a": 0.0, "b_offset": 8, "nu": 2.5, "p": 1.0, "q": 0.0, "h": 1.0,
@@ -591,6 +617,31 @@ def test_base_beyond_2_53_exits_one_before_any_output(tmp_path, capsys, command,
     assert out.err.startswith("error: ") and "a = 1e+17" in out.err
 
 
+@pytest.mark.parametrize("command", ["cauchy", "greens", "solve-ivp", "verify"])
+@pytest.mark.parametrize("overrides, path", [
+    ({"h": {"values": [1], "strat": 3}}, "h.strat"),
+    ({"problem": {"type": "ivp", "A": "x"}}, "problem.A"),
+])
+def test_every_command_checks_the_whole_config(tmp_path, capsys, command, overrides, path):
+    # cauchy read no h and no problem, and greens --config no h, so each printed
+    # its table from a file that verify refused
+    assert main([command, "--config", write_config(tmp_path, ivp_config(**overrides))]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith(f"error: config field '{path}'")
+
+
+@pytest.mark.parametrize("command", ["cauchy", "greens"])
+def test_commands_that_read_no_forcing_need_none(tmp_path, capsys, command):
+    cfg = ivp_config(problem={"type": "greens"})
+    outputs = []
+    for config in (cfg, {k: v for k, v in cfg.items() if k != "h"}):
+        assert main([command, "--config", write_config(tmp_path, config)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != ""
+
+
 @pytest.mark.parametrize("command", ["greens", "verify"])
 def test_every_command_refuses_a_conjugate_that_is_not_a_bool(tmp_path, capsys, command):
     cfg = ivp_config(problem={"type": "greens", "conjugate": "yes"})
@@ -631,12 +682,12 @@ def _tabulated(cfg):
     return cfg
 
 
-# greens --config reads neither h nor a ghost, and every other command reads each object here
+# every command checks the whole file, the objects it does not read (h under greens) too
 @pytest.mark.parametrize("command, kind, path", [
     *[(cmd, kind, path) for path in ("tol", "p.strat") for cmd, kind in
       [("solve-ivp", "ivp"), ("solve-bvp", "bvp"), ("greens", "greens"), ("verify", "ivp")]],
     *[(cmd, kind, "h.strat") for cmd, kind in [("solve-ivp", "ivp"), ("solve-bvp", "bvp"),
-                                                ("verify", "greens")]],
+                                                ("verify", "greens"), ("greens", "greens")]],
     ("solve-ivp", "ivp", "problem.gost"), ("verify", "ivp", "problem.gost"),
     ("solve-bvp", "bvp", "problem.Bb"), ("verify", "bvp", "problem.Bb"),
     ("greens", "greens", "problem.conjugat"), ("verify", "greens", "problem.conjugat"),
@@ -657,6 +708,17 @@ def test_unknown_key_at_any_level_is_config_error(tmp_path, capsys, command, kin
     assert out.out == ""
     assert len(out.err.splitlines()) == 1
     assert out.err.startswith(f"error: config field '{path}'")
+
+
+def test_readme_key_table_lists_the_fields_row_by_row():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| object | key | value |\n| --- | --- | --- |\n")[1].split("\n\n")[0]
+    listed, row = [], None
+    for line in table.splitlines():
+        obj, key, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        row = obj.split("`")[1] if obj else row
+        listed.append((row, key.strip("`")))
+    assert listed == [(row, key) for row, keys in cli._FIELDS.items() for key in keys]
 
 
 def _field_paths(node, prefix=()):
@@ -715,11 +777,12 @@ def test_mutated_config_exits_with_a_documented_code(tmp_path_factory, field, va
         assert code in (0, 1, 2) or 10 <= code <= 14, (argv, code)
         if code in (1, 2):
             assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+            assert "<class" not in err, err  # refusals speak JSON, not Python types
         else:
             assert err == ""
         if code == 1:  # an invalid config is refused before the first check
             assert "check" not in out
-        if value is _UNKNOWN_KEY:  # every object in the bases is read by both commands
+        if value is _UNKNOWN_KEY:  # every command checks every object
             assert code == 1, (argv, code)
 
 

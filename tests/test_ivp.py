@@ -56,6 +56,14 @@ class TestInitialConditions:
     def test_zero_case(self):
         assert ic_to_values(InitialConditions((0.0, 0.0, 0.0))) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # solve_ivp returned NaNs at nu = 1.5, b = 8, without a word
+        with pytest.raises(ValueError, match="initial values must be finite"):
+            InitialConditions((bad, 0.0, 0.0))
+        with pytest.raises(ValueError, match="initial values must be finite"):
+            InitialConditions((0.0, 0.0, bad), GhostClosure.explicit(1.0))
+
     def test_against_triangular_solve(self):
         # nabla^i x(a+i) = A_i as an explicit 3x3 unit-triangular system
         a_vals = (1.0, 0.0, 0.0)

@@ -215,3 +215,11 @@ class TestGhostClosure:
     def test_wrong_explicit_count_rejected(self):
         with pytest.raises(ValueError, match="has 2 values, need 1"):
             GhostClosure.explicit(1.0, 2.0).ghost_values(1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # solve_ivp returned x(a-1) = inf at nu = 1.5, b = 8, without a word
+        with pytest.raises(ValueError, match="ghost values must be finite"):
+            GhostClosure.explicit(bad)
+        with pytest.raises(ValueError, match="ghost values must be finite"):
+            GhostClosure.explicit(0.0, bad)
