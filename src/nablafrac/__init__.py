@@ -19,7 +19,6 @@ from .fraccalc import (
     caputo_difference,
     frac_integral,
     fractional_order_n,
-    nabla,
     nabla_n,
     order_n,
     rl_difference,
@@ -89,7 +88,6 @@ __all__ = [
     "ic_to_values",
     "kernel_weights",
     "make_grid_function",
-    "nabla",
     "nabla_n",
     "order_n",
     "probe_equation_rows",

@@ -2,11 +2,11 @@
 
 Subcommands: ``monomial``, ``cauchy``, ``solve-ivp``, ``solve-bvp``,
 ``greens``, ``verify``.  Exit codes, none of which ends in a traceback:
-0 success; 1 an invalid config, argument or output path (every other
-``ValueError`` the package raises for its input included), a problem too
-big for memory, or a stdout closed before the output was written
-(``... | head``); 2 singular/degenerate problem data; 10+k verification
-check k failed (checks are numbered in the printed report).
+0 success; 1 a usage error, an invalid config, argument or output path
+(every other ``ValueError`` the package raises for its input included), a
+problem too big for memory, or a stdout closed before the output was
+written (``... | head``); 2 singular/degenerate problem data; 10+k
+verification check k failed (checks are numbered in the printed report).
 """
 
 from __future__ import annotations
@@ -159,12 +159,16 @@ def _coefficient(cfg: dict, field: str, a: float, lo: int, hi: int) -> GridFunct
 def load_config(path: str) -> dict:
     """The config at path, with every value checked against _FIELDS."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ArgumentError("--config", str(exc))
     except json.JSONDecodeError as exc:
         raise ConfigError("<json>", f"line {exc.lineno}: {exc.msg}")
+    except RecursionError:
+        raise ConfigError("<json>", "nested too deeply to read")
+    except ValueError as exc:  # not UTF-8, or an integer literal past Python's digit limit
+        raise ConfigError("<json>", str(exc).partition(";")[0])  # drop the advice to raise it
     if not isinstance(cfg, dict):  # the file itself, which no key names
         raise ConfigError("<root>", f"must be an object, got {_found(cfg)}")
     _read(cfg, "", "root")
@@ -445,10 +449,14 @@ def _add_out(p):
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error: main reports it, one line, exit 1
+        raise ValueError(message)
+
+
 @functools.lru_cache(maxsize=None)  # built once per process
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nablafrac",
-                                     description="Discrete nabla fractional calculus solvers")
+    parser = _Parser(prog="nablafrac", description="Discrete nabla fractional calculus solvers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("monomial", help="print a Taylor monomial table")
@@ -485,8 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

@@ -41,23 +41,14 @@ def fractional_order_n(nu: float) -> int:
     return n
 
 
-def nabla(f: GridFunction) -> GridFunction:
-    """Backward difference f(t) - f(t-1), defined on [lo+1, hi]."""
-    g = f.grid
-    if len(g) < 2:
-        raise ValueError("nabla needs at least 2 points")
-    return GridFunction(Grid(g.base, g.lo + 1, g.hi), np.diff(f.values))
-
-
 def nabla_n(f: GridFunction, n: int) -> GridFunction:
-    """n-fold backward difference; n = 0 returns f unchanged."""
+    """n-fold backward difference, defined on [lo+n, hi]; n = 0 returns f unchanged."""
     if n < 0:
         raise ValueError("difference order must be >= 0")
     if len(f.grid) < n + 1:
         raise ValueError(f"grid of {len(f.grid)} points too short for nabla^{n}")
-    for _ in range(n):
-        f = nabla(f)
-    return f
+    g = f.grid
+    return f if n == 0 else GridFunction(Grid(g.base, g.lo + n, g.hi), np.diff(f.values, n))
 
 
 def frac_sum(f: np.ndarray, nu: float) -> np.ndarray:

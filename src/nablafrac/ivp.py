@@ -8,7 +8,7 @@ runs it as a blocked forward substitution over one kernel-weight vector:
 still row by row in order, still O(b^2), with the history before each
 32-row block added once per block.  When q is identically 0 it needs no
 rows at all: p times the Caputo value is a running sum of h, and x is
-one convolution of that sum, over p, with the weights of (1-z)^-nu;
+the order-nu fractional sum of that sum over p (``frac_sum``);
 :func:`cauchy_function` still rebuilds each row from scalar monomials and
 stores x(t, s) as one (t, s) array, so :func:`variation_of_constants` is
 one matrix-vector product.
@@ -23,6 +23,7 @@ from operator import mul
 import numpy as np
 
 from .errors import OffGridError
+from .fraccalc import frac_sum
 from .grid import Grid, GridFunction, constant_grid_function
 from .monomial import kernel_weights, taylor_monomial
 from .operator import FracOperator, GhostClosure
@@ -103,9 +104,8 @@ def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridF
     When q is identically 0 the rows telescope instead: p(t) cap(t) =
     p(N) cap(N) + h(N+1) + ... + h(t), so cap(t) is known for every t at
     once.  Less the window's part, cap is g convolved with x beyond the
-    window, so x there is that difference convolved with the weights of
-    (1-z)^-nu, the inverse of g: one cumulative sum and one
-    ``np.convolve``, no row loop.
+    window, so x there is ``frac_sum`` of order nu of that difference, with
+    the weights of (1-z)^-nu, the inverse of g: no row loop.
     """
     n = op.N
     b = op.b_offset
@@ -124,8 +124,7 @@ def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridF
     if not op.q.values.any():
         flux = op.p.values[0] * acc[n - 1] + np.cumsum(h.values_on(op.a, n + 1, b))
         rest = flux / op.p.values[1:] - acc[n:]
-        inv_g = kernel_weights(b - n, op.nu - 1.0)[1:]  # the weights of (1-z)^-nu
-        return GridFunction(grid, np.concatenate((x, np.convolve(inv_g, rest)[:b - n])))
+        return GridFunction(grid, np.concatenate((x, frac_sum(rest, op.nu))))
     # h, p and q indexed by offset; rows run over t in [N+1, b]
     hv = [0.0] * (n + 1) + h.values_on(op.a, n + 1, b).tolist()
     p = [0.0] * n + op.p.values.tolist()
@@ -224,11 +223,9 @@ def homogeneous_basis(op: FracOperator, analytic: bool = False) -> tuple[GridFun
         if not op.is_basic():
             raise ValueError("analytic basis requires p == 1 and q == 0")
         grid = Grid(op.a, -(n - 1), op.b_offset)
-        orders = [float(k) for k in range(n)] + [op.nu]
-        return tuple(
-            GridFunction(grid, [taylor_monomial(m, order) for m in grid.offsets()])
-            for order in orders
-        )
+        whole = [[taylor_monomial(m, float(k)) for m in grid.offsets()] for k in range(n)]
+        h_nu = np.concatenate((np.zeros(n - 1), kernel_weights(op.b_offset, op.nu)))
+        return tuple(GridFunction(grid, values) for values in whole + [h_nu])
     h0 = zero_forcing(op)
     return tuple(
         solve_ivp(op, h0, InitialConditions(np.eye(n + 1)[i])) for i in range(n + 1)

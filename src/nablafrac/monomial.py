@@ -20,27 +20,31 @@ import math
 import numpy as np
 
 
-def _is_integer(nu: float) -> bool:
-    return float(nu).is_integer()
-
-
 def taylor_monomial(m: int, nu: float) -> float:
     """Nabla Taylor monomial ``H_nu(a+m, a)`` as a function of the offset ``m``.
 
     Computed as ``prod((nu+j)/j for j in 1..m-1)`` for non-integer ``nu``
     and ``m >= 1``, which equals ``Gamma(m+nu)/(Gamma(m) Gamma(nu+1))``
-    but never overflows at desk scale.
+    but never overflows at desk scale.  At a whole order k >= 1 it is
+    m (m+1) ... (m+k-1) / k!: C(m+k-1, k) for m >= 1, 0 where the product
+    passes through 0, and (-1)^k C(-m, k) below that, one exact integer
+    rounded once.  C(n, r) >= (n/r)^r, so a value past the float range is
+    +-inf before an integer that large is built.
     """
-    if _is_integer(nu):
-        k = int(round(nu))
-        if k == 0:
-            return 1.0
-        if k < 0:
-            return 0.0
-        out = 1.0
-        for j in range(k):
-            out *= m + j
-        return out / math.factorial(k)
+    if float(nu).is_integer():
+        k = int(nu)
+        if k <= 0:
+            return float(k == 0)
+        if m <= 0 <= m + k - 1:
+            return -0.0 if m % 2 else 0.0  # (-1)^m 0, as m (m+1) ... gives in float arithmetic
+        n, sign = (m + k - 1, 1.0) if m > 0 else (-m, (-1.0) ** (k % 2))
+        r = min(k, n - k)  # C(n, k) = C(n, n-k)
+        if r and r * (math.log2(n) - math.log2(r)) > 1025:
+            return sign * math.inf
+        try:
+            return sign * float(math.comb(n, r))
+        except OverflowError:  # just past the largest float
+            return sign * math.inf
     if m <= 0:
         return 0.0
     out = 1.0

@@ -81,6 +81,14 @@ class TestMonomial:
             # %.17g output parses back to the identical binary64 value
             assert float(h) == expected
 
+    def test_whole_orders_print_exact_values(self, capsys):
+        # at nu = 170 the float product printed inf for H(2) and H(3), at 171
+        # the division by 171! raised, and at 1e308 the product never ended
+        for nu, last in (("170", ["2,2,171", "3,3,14706"]), ("171", ["2,2,172", "3,3,14878"]),
+                         ("1e308", ["2,2,1e+308", "3,3,inf"])):
+            assert main(["monomial", "--nu", nu, "--hi", "3"]) == 0
+            assert capsys.readouterr().out.splitlines()[-2:] == last
+
     def test_stdout_when_no_out_path(self, capsys):
         assert main(["monomial", "--nu", "0.5", "--hi", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -123,6 +131,23 @@ class TestSolveIvp:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["solve-ivp", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("content, message", [
+        pytest.param(b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "nested too deeply",
+                     id="nested-past-the-recursion-limit"),
+        pytest.param(b'{"a": ' + b"1" * 5000 + b"}", "value has 5000 digits",
+                     id="int-of-5000-digits"),
+        pytest.param(b'\xff{"a": 1}', "can't decode byte 0xff in position 0", id="not-utf-8"),
+    ])
+    def test_unreadable_json_is_config_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        assert main(["verify", "--config", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert out.err.startswith("error: config field '<json>': ") and message in out.err
+        assert "set_int_max_str_digits" not in out.err
 
     def test_top_level_array_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "array.json"
@@ -570,6 +595,11 @@ GREENS_NU_2_5 = {"a": 0.0, "b_offset": 8, "nu": 2.5, "p": 1.0, "q": 0.0, "h": 1.
                  id="out-unwritable"),
     pytest.param(["verify", "--config", "{missing}"], 1, "'--config'", id="config-unreadable"),
     pytest.param(["greens"], 1, "'--conjugate'", id="greens-no-source"),
+    pytest.param(["monomial", "--nu", "1.5", "--hi", "x"], 1, "argument --hi: invalid int",
+                 id="usage-hi-not-an-int"),
+    pytest.param(["verify"], 1, "required: --config", id="usage-verify-without-config"),
+    pytest.param(["monomial", "--nu", "-1e308"], 1, "argument --nu: expected one argument",
+                 id="usage-nu-read-as-an-option"),
     pytest.param(["greens", "--conjugate", "a=0", "b=5", "nu=1.5", "junk", "c=3"], 1, "'junk'",
                  id="greens-word-without-equals"),
     pytest.param(["greens", "--conjugate", "a=0", "b=5", "nu=1.5", "c=3"], 1, "'c=3'",
@@ -589,6 +619,7 @@ def test_cli_returns_its_documented_code_and_never_raises(tmp_path, capsys, argv
              "missing": str(tmp_path / "missing" / "x.csv")}
     assert main([arg.format(**paths) for arg in argv]) == code
     err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and named.format(**paths) in err
     assert "config field" not in err  # no row here names a config field
 

@@ -13,7 +13,6 @@ from nablafrac import (
     frac_integral,
     fractional_order_n,
     make_grid_function,
-    nabla,
     nabla_n,
     order_n,
     rl_difference,
@@ -76,23 +75,23 @@ def test_order_rule_accepts_a_fractional_order(name):
 class TestWholeOrder:
     def test_nabla_of_square(self):
         f = make_grid_function(Grid(0.0, 0, 4), lambda t: t * t)
-        df = nabla(f)
+        df = nabla_n(f, 1)
         for t in range(1, 5):
             assert df.at(t) == 2 * t - 1
 
     def test_nabla_of_constant(self):
         f = constant_grid_function(Grid(0.0, 0, 6), 3.25)
-        assert all(v == 0.0 for v in nabla(f).values)
+        assert all(v == 0.0 for v in nabla_n(f, 1).values)
 
     def test_nabla_of_monomial_drops_order(self):
         f = monomial_function(0.0, -1, 5, 1.5)
-        df = nabla(f)
+        df = nabla_n(f, 1)
         for m in range(0, 6):
             assert df.at(m) == pytest.approx(taylor_monomial(m, 0.5), abs=1e-14)
 
     def test_nabla_singleton_rejected(self):
         with pytest.raises(ValueError):
-            nabla(constant_grid_function(Grid(0.0, 0, 0), 1.0))
+            nabla_n(constant_grid_function(Grid(0.0, 0, 0), 1.0), 1)
 
     @pytest.mark.parametrize("n, hi, match", [(-1, 4, ">= 0"), (3, 2, "too short")])
     def test_negative_order_or_short_grid_rejected(self, n, hi, match):
@@ -274,7 +273,7 @@ def test_operators_are_linear(rng):
     g = GridFunction(Grid(0.0, -1, 10), tuple(rng.uniform(-1, 1, 12)))
     combo = GridFunction(f.grid, tuple(2.0 * u - 3.0 * v for u, v in zip(f.values, g.values)))
     for operator in (
-        nabla,
+        lambda x: nabla_n(x, 1),
         lambda x: frac_integral(x, 0.0, 1.3),
         lambda x: rl_difference(x, 0.0, 1.3),
         lambda x: caputo_difference(x, 0.0, 1.5),

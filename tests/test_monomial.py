@@ -64,6 +64,31 @@ def test_agrees_with_log_gamma_oracle():
             )
 
 
+def test_whole_orders_are_the_exact_binomial_rounded_once():
+    # m (m+1) ... (m+k-1) / k! is C(m+k-1, k) for m >= 1 and (-1)^k C(-m, k)
+    # for m <= 0, which math.comb makes 0 where the product passes through 0
+    ms = range(-400, 401)
+    for k in range(401):
+        expected = [float(math.comb(m + k - 1, k)) if m >= 1
+                    else (-1) ** k * float(math.comb(-m, k)) for m in ms]
+        assert [taylor_monomial(m, float(k)) for m in ms] == expected, k
+
+
+@pytest.mark.parametrize("m, k, expected", [
+    (2, 170.0, 171.0),  # the float product overflowed to inf here
+    (3, 170.0, 14706.0),
+    (3, 171.0, 14878.0),  # here 171! overflowed the float division
+    (1, 1e308, 1.0),
+    (2, 1e308, 1e308),
+    (3, 1e308, math.inf),  # a loop over 10^308 factors never returned
+    (-3, 1e308, 0.0),
+    (-2002, 1001.0, -math.inf),  # (-1)^1001 C(2002, 1001), about 2^1998
+    (-2002, 1000.0, math.inf),
+])
+def test_whole_orders_past_the_float_range(m, k, expected):
+    assert taylor_monomial(m, k) == expected
+
+
 @given(
     m=st.integers(1, 120),
     nu=st.floats(-0.9, 4.0).filter(lambda v: abs(v - round(v)) > 1e-6),
@@ -96,7 +121,7 @@ class TestKernelWeights:
             assert kernel_weights(800, nu).tolist() == expected
 
     def test_integer_orders_agree_to_rounding(self):
-        for nu in (0.0, 1.0, 2.0):
+        for nu in (0.0, 1.0, 2.0, 3.0, 6.0):
             w = kernel_weights(500, nu)
             for m in range(501):
                 assert w[m] == pytest.approx(taylor_monomial(m, nu), rel=1e-13, abs=0.0)
