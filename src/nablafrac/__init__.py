@@ -10,6 +10,7 @@ functions, and a dense brute-force oracle.
 from .errors import (
     DegenerateDenominatorError,
     NearSingularError,
+    NonFiniteError,
     OffGridError,
     SingularSystemError,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "GridFunction",
     "InitialConditions",
     "NearSingularError",
+    "NonFiniteError",
     "OffGridError",
     "SingularSystemError",
     "apply",

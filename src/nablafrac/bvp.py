@@ -17,7 +17,7 @@ import numpy as np
 from .grid import Grid, GridFunction
 from .ivp import InitialConditions, ic_to_values
 from .linalg import gauss_solve
-from .operator import FracOperator, apply_array
+from .operator import FracOperator, apply_array, require_finite
 
 _RANK_TOL = 1e-10
 
@@ -108,12 +108,12 @@ def _require_fit(spec: BoundarySpec, op: FracOperator) -> int:
 
 
 def _basis_on(basis: Sequence[GridFunction], spec: BoundarySpec, op: FracOperator,
-              hi: int) -> np.ndarray:
-    """The basis on offsets [1-N, hi], one row per function, once spec and basis fit op."""
+              grid: Grid) -> np.ndarray:
+    """The basis on ``grid``, one row per function, once spec and basis fit op."""
     n = _require_fit(spec, op)
     if len(basis) != n + 1:
         raise ValueError(f"need {n + 1} basis functions, got {len(basis)}")
-    return np.array([x.values_on(op.a, 1 - n, hi) for x in basis])
+    return np.array([x.values_on(grid) for x in basis])
 
 
 def _numeric_window(spec: BoundarySpec, op: FracOperator) -> np.ndarray:
@@ -128,27 +128,29 @@ def _numeric_window(spec: BoundarySpec, op: FracOperator) -> np.ndarray:
 def assemble_d(basis: Sequence[GridFunction], spec: BoundarySpec,
                op: FracOperator) -> np.ndarray:
     """The (N+1) x (N+1) matrix of boundary functionals: entry (i, k) is row i applied to x_k."""
-    return boundary_rows(spec, op.b_offset) @ _basis_on(basis, spec, op, op.b_offset).T
+    return boundary_rows(spec, op.b_offset) @ _basis_on(basis, spec, op, op.grid).T
 
 
 def _bordered_solve(op: FracOperator, spec: BoundarySpec,
                     basis: Sequence[GridFunction] | None, h: np.ndarray, values) -> np.ndarray:
-    """x on [a-N+1, b] with L x = h on [a+N+1, b] and the boundary rows of
+    """x on ``op.grid`` with L x = h on ``op.rows`` and the boundary rows of
     ``spec`` equal to ``values``, within the span of ``basis`` (``None``:
     the numeric basis, of which only the window enters).
 
     ``h`` and ``values`` may hold one column per problem.  Raises
-    :class:`NearSingularError` when cond_1 * eps >= 1.
+    :class:`NearSingularError` when cond_1 * eps >= 1, and
+    :class:`NonFiniteError` when x is not finite.
     """
-    n, m = op.N, op.b_offset + op.N
+    n, m = op.N, len(op.grid)
     matrix = np.zeros((m + n + 1, m + n + 1))
     matrix[:2 * n, :2 * n] = np.eye(2 * n)
-    window = _numeric_window(spec, op) if basis is None else _basis_on(basis, spec, op, n)
+    window = (_numeric_window(spec, op) if basis is None
+              else _basis_on(basis, spec, op, Grid(op.a, 1 - n, n)))  # on [a-N+1, a+N]
     matrix[:2 * n, m:] = -window.T
     matrix[2 * n:3 * n + 1, :m] = boundary_rows(spec, op.b_offset)
     matrix[3 * n + 1:, :m] = apply_array(op, np.eye(m))
     rhs = np.concatenate((np.zeros((2 * n,) + h.shape[1:]), values, h))
-    return gauss_solve(matrix, rhs)[:m]
+    return require_finite(op, gauss_solve(matrix, rhs)[:m])
 
 
 def solve_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
@@ -161,6 +163,5 @@ def solve_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
     :class:`NearSingularError` when the system is singular to working
     precision; in exact arithmetic it is singular iff det D = 0.
     """
-    n, b = op.N, op.b_offset
-    x = _bordered_solve(op, spec, basis, h.values_on(op.a, n + 1, b), spec.values)
-    return GridFunction(Grid(op.a, 1 - n, b), x)
+    x = _bordered_solve(op, spec, basis, h.values_on(op.rows), spec.values)
+    return GridFunction(op.grid, x)

@@ -5,7 +5,8 @@ Subcommands: ``monomial``, ``cauchy``, ``solve-ivp``, ``solve-bvp``,
 0 success; 1 a usage error, an invalid config, argument or output path
 (every other ``ValueError`` the package raises for its input included), a
 problem too big for memory, or a stdout closed before the output was
-written (``... | head``); 2 singular/degenerate problem data; 10+k
+written (``... | head``); 2 singular/degenerate problem data; 3 an answer
+that outgrew float64 (an inf or a NaN, which is never printed); 10+k
 verification check k failed (checks are numbered in the printed report).
 """
 
@@ -22,9 +23,10 @@ import sys
 from typing import Sequence
 
 from .bvp import BoundarySpec, boundary_rows, solve_bvp
-from .errors import DegenerateDenominatorError, NearSingularError, SingularSystemError
+from .errors import (DegenerateDenominatorError, NearSingularError, NonFiniteError,
+                     SingularSystemError)
 from .fraccalc import fractional_order_n
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, constant_grid_function
 from .ivp import InitialConditions, cauchy_function, homogeneous_basis, solve_ivp
 from .greens import build_greens, compare_greens, conjugate_greens_closed_form, greens_solve
 from .monomial import taylor_monomial
@@ -143,17 +145,17 @@ def _require(obj: dict, path: str) -> object:
     return obj[key]
 
 
-def _coefficient(cfg: dict, field: str, a: float, lo: int, hi: int) -> GridFunction:
-    """Constant or tabulated coefficient covering offsets [lo, hi] exactly."""
+def _coefficient(cfg: dict, field: str, grid: Grid) -> GridFunction:
+    """Constant or tabulated coefficient covering grid's offsets exactly."""
     spec = _require(cfg, field)
     if not isinstance(spec, dict):
-        return GridFunction(Grid(a, lo, hi), np.full(hi - lo + 1, float(spec)))
+        return constant_grid_function(grid, spec)
     values = _require(spec, f"{field}.values")
-    start = spec.get("start", lo)
-    if start != lo or len(values) != hi - lo + 1:
-        raise ConfigError(field, f"must cover offsets [{lo}, {hi}] exactly "
+    start = spec.get("start", grid.lo)
+    if start != grid.lo or len(values) != len(grid):
+        raise ConfigError(field, f"must cover offsets [{grid.lo}, {grid.hi}] exactly "
                                  f"(start={start}, {len(values)} values)")
-    return GridFunction(Grid(a, lo, hi), values)
+    return GridFunction(grid, values)
 
 
 def load_config(path: str) -> dict:
@@ -185,13 +187,12 @@ def build_operator(cfg: dict) -> FracOperator:
         raise ConfigError("nu", str(exc))
     if b_off < n + 1:
         raise ConfigError("b_offset", f"must be at least N+1 = {n + 1}")
-    p = _coefficient(cfg, "p", a, n, b_off)
-    q = _coefficient(cfg, "q", a, n + 1, b_off)
-    return FracOperator(a, nu, p, q)
+    p_grid, q_grid = FracOperator.coefficient_grids(a, nu, b_off)
+    return FracOperator(a, nu, _coefficient(cfg, "p", p_grid), _coefficient(cfg, "q", q_grid))
 
 
 def build_forcing(cfg: dict, op: FracOperator) -> GridFunction:
-    return _coefficient(cfg, "h", op.a, op.N + 1, op.b_offset)
+    return _coefficient(cfg, "h", op.rows)
 
 
 def build_initial_conditions(problem: dict, op: FracOperator) -> InitialConditions:
@@ -241,9 +242,8 @@ def _write_csv(out: str | None, header: Sequence[str], rows) -> None:
 
 def cmd_monomial(args) -> int:
     _finite("--nu", args.nu)
-    _finite("--a", args.a)
-    rows = ((k, _fmt(args.a + k), _fmt(taylor_monomial(k, args.nu)))
-            for k in range(args.lo, args.hi + 1))
+    grid = Grid(_finite("--a", args.a), args.lo, args.hi)  # t = a + k must be exact
+    rows = ((k, _fmt(grid.base + k), _fmt(taylor_monomial(k, args.nu))) for k in grid.offsets())
     _write_csv(args.out, ("offset", "t", "H"), rows)
     return 0
 
@@ -253,7 +253,7 @@ def cmd_cauchy(args) -> int:
     op = build_operator(cfg)
     cf = cauchy_function(op)
     rows = [(k, _fmt(op.a + k), s, _fmt(op.a + s), _fmt(col.at(k)))
-            for s in cf.s_offsets() for col in [cf.column(s)] for k in col.grid.offsets()]
+            for s in cf.rows.offsets() for col in [cf.column(s)] for k in col.grid.offsets()]
     _write_csv(args.out, ("t_offset", "t", "s_offset", "s", "x"), rows)
     return 0
 
@@ -318,8 +318,9 @@ def _greens_from_args(args):
 
 def cmd_greens(args) -> int:
     g = _greens_from_args(args)
-    rows = [(t, _fmt(g.a + t), s, _fmt(g.a + s), _fmt(g.value(t, s)), g.branch_of(t, s))
-            for t in range(g.t_lo, g.b_offset + 1) for s in range(g.s_lo, g.b_offset + 1)]
+    a = g.grid.base
+    rows = [(t, _fmt(a + t), s, _fmt(a + s), _fmt(g.value(t, s)), g.branch_of(t, s))
+            for t in g.grid.offsets() for s in g.rows.offsets()]
     _write_csv(args.out, ("t_offset", "t", "s_offset", "s", "G", "branch"), rows)
     return 0
 
@@ -344,7 +345,7 @@ def _scaled(res: float, matrix: np.ndarray, x: np.ndarray, rhs) -> tuple[float, 
 def _boundary_residual(x: GridFunction, spec: BoundarySpec, op: FracOperator) -> tuple[float, str]:
     """||Bx - c||, scaled, with B = boundary_rows and c the boundary values."""
     rows = boundary_rows(spec, op.b_offset)
-    xs = x.values_on(op.a, -(op.N - 1), op.b_offset)
+    xs = x.values_on(op.grid)
     gap = float(np.max(np.abs(rows @ xs - spec.values)))
     return _scaled(gap, rows, xs, spec.values)
 
@@ -374,48 +375,44 @@ def _verify_checks(cfg: dict):
     gives the absolute value.  The tolerance is the larger of the
     configured one and the scale, when there is one: the oracle
     agreement checks scale by the oracle's cond_1 * eps.  The problem
-    is built before the first check.
+    is built and solved before the first check, so that a refused solve
+    prints no check line.
     """
     op = build_operator(cfg)
     h = build_forcing(cfg, op)
     kind, problem = _problem(cfg, "ivp", "bvp", "greens")
     if kind == "ivp":
         ic = build_initial_conditions(problem, op)
+        x = solve_ivp(op, h, ic)
         dense_sys = assemble_ivp(op, h, ic)
     elif kind == "bvp":
         spec = build_boundary_spec(problem, op)
+        x = solve_bvp(op, h, spec)
         dense_sys = assemble_bvp(op, h, spec, GhostClosure.zero())
     else:
         if not op.is_basic() or op.N != 2:
             raise ConfigError("problem", "greens verification needs p == 1, q == 0, nu in (1,2)")
-        dense_sys = assemble_ivp(op, h, InitialConditions.zeros(op.N))
-    eq_rows = dense_sys.matrix[2 * op.N:]
-
-    def equation_residual(x):
-        return _scaled(residual(op, x, h), eq_rows, x.values, h.values)
-
-    probe_gap = float(np.max(np.abs(probe_equation_rows(op) - eq_rows)))
-    yield "probe-vs-symbolic-rows", *_absolute(probe_gap), 1e-10
-
-    if kind == "ivp":
-        x = solve_ivp(op, h, ic)
-        yield "ivp-equation-residual", *equation_residual(x), None
-        yield "ivp-oracle-agreement", *_oracle_gap(x, dense_sys)
-    elif kind == "bvp":
-        x = solve_bvp(op, h, spec)
-        yield "bvp-equation-residual", *equation_residual(x), None
-        yield "bvp-boundary-residual", *_boundary_residual(x, spec, op), None
-        yield "bvp-oracle-agreement", *_oracle_gap(x, dense_sys)
-    else:
         spec = BoundarySpec.conjugate()
         basis = _greens_basis(op)
         built = build_greens(op, spec, basis)
+        x = greens_solve(built, h)
+        x_bvp = solve_bvp(op, h, spec, basis)
+        dense_sys = assemble_ivp(op, h, InitialConditions.zeros(op.N))
+    eq_rows = dense_sys.matrix[2 * op.N:]
+
+    probe_gap = float(np.max(np.abs(probe_equation_rows(op) - eq_rows)))
+    yield "probe-vs-symbolic-rows", *_absolute(probe_gap), 1e-10
+    if kind == "greens":
         closed = conjugate_greens_closed_form(op.a, op.b, op.nu)
         yield "greens-closed-form-agreement", *_absolute(compare_greens(built, closed)), 1e-10
-        x = greens_solve(built, h)
-        yield "greens-equation-residual", *equation_residual(x), None
-        yield "greens-boundary-residual", *_boundary_residual(x, spec, op), None
-        yield "greens-vs-bvp-agreement", *_relative_gap(x, solve_bvp(op, h, spec, basis)), None
+    res = residual(op, x, h)
+    yield f"{kind}-equation-residual", *_scaled(res, eq_rows, x.values, h.values), None
+    if kind != "ivp":
+        yield f"{kind}-boundary-residual", *_boundary_residual(x, spec, op), None
+    if kind == "greens":
+        yield "greens-vs-bvp-agreement", *_relative_gap(x, x_bvp), None
+    else:
+        yield f"{kind}-oracle-agreement", *_oracle_gap(x, dense_sys)
 
 
 def cmd_verify(args) -> int:
@@ -495,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # exit 3 reports an overflow, once
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except BrokenPipeError:
@@ -506,6 +504,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (NearSingularError, DegenerateDenominatorError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NonFiniteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:  # ConfigError, and the package's own input checks
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,3 +18,7 @@ class DegenerateDenominatorError(ValueError):
 class SingularSystemError(ValueError):
     """The dense oracle's system is singular to working precision
     (cond_1 * eps >= 1)."""
+
+
+class NonFiniteError(ValueError):
+    """A solve's answer holds an inf or a NaN: the solution outgrew float64."""

@@ -79,7 +79,7 @@ def frac_integral(f: GridFunction, base: float, nu: float) -> GridFunction:
     hi = f.grid.hi
     vals = np.zeros(hi - b + 1)
     if hi > b:  # np.convolve rejects the empty sum at a base on f's last point
-        vals[1:] = frac_sum(f.values_on(f.grid.base, b + 1, hi), nu)
+        vals[1:] = frac_sum(f.values_on(Grid(f.grid.base, b + 1, hi)), nu)
     return GridFunction(Grid(f.grid.base, b, hi), vals)
 
 

@@ -33,16 +33,15 @@ _DEGENERATE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class GreensFunction:
-    """Piecewise kernel on t in [a-N+1, b] x s in [a+N+1, b].
+    """Piecewise kernel on t in ``grid``, [a-N+1, b], x s in ``rows``, [a+N+1, b].
 
     ``u`` and ``v`` are (t, s)-indexed arrays; ``branch`` holds 'u' / 'v'
     on the stated regions and 'u*' on flagged cells.  The accessors take
     offsets and raise :class:`OffGridError` outside those ranges.
     """
 
-    a: float
-    N: int
-    b_offset: int
+    grid: Grid
+    rows: Grid
     u: np.ndarray
     v: np.ndarray
 
@@ -51,30 +50,22 @@ class GreensFunction:
         """G itself: v, since the Cauchy column x(t, s) is 0 for t < s, where v = u."""
         return self.v
 
-    @property
-    def t_lo(self) -> int:
-        return -(self.N - 1)
-
-    @property
-    def s_lo(self) -> int:
-        return self.N + 1
-
     @cached_property
     def branch(self) -> np.ndarray:
         # stated regions: u on 0 <= t <= b-N, s >= t+1 and v on t >= N, s <= t+1
-        n, b = self.N, self.b_offset
-        t, s = _grid_offsets(n, b)
+        n, b = self.rows.lo - 1, self.rows.hi
+        t, s = _grid_offsets(self.grid, self.rows)
         in_v = (t >= n) & (s <= t + 1)
         in_u = (t >= 0) & (t <= b - n) & (s >= t + 1)
         return np.where(in_v, "v", np.where(in_u, "u", "u*"))
 
     def _cell(self, t_offset: int, s_offset: int) -> tuple[int, int]:
         """The array index of (t, s); :class:`OffGridError` outside the kernel's ranges."""
-        b = self.b_offset
-        if not (self.t_lo <= t_offset <= b and self.s_lo <= s_offset <= b):
+        g, r = self.grid, self.rows
+        if not (g.contains_offset(t_offset) and r.contains_offset(s_offset)):
             raise OffGridError(f"(t, s) offsets ({t_offset}, {s_offset}) outside "
-                               f"[{self.t_lo}, {b}] x [{self.s_lo}, {b}]")
-        return t_offset - self.t_lo, s_offset - self.s_lo
+                               f"[{g.lo}, {g.hi}] x [{r.lo}, {r.hi}]")
+        return t_offset - g.lo, s_offset - r.lo
 
     def value(self, t_offset: int, s_offset: int) -> float:
         return float(self.G[self._cell(t_offset, s_offset)])
@@ -84,13 +75,13 @@ class GreensFunction:
 
     def column(self, s_offset: int) -> GridFunction:
         """G(., s) on the extended grid, for residual checks."""
-        _, j = self._cell(self.t_lo, s_offset)
-        return GridFunction(Grid(self.a, self.t_lo, self.b_offset), self.G[:, j])
+        _, j = self._cell(self.grid.lo, s_offset)
+        return GridFunction(self.grid, self.G[:, j])
 
 
-def _grid_offsets(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """t offsets [a-N+1, b] as a column and s offsets [a+N+1, b] as a row."""
-    return np.arange(-(n - 1), b + 1)[:, None], np.arange(n + 1, b + 1)[None, :]
+def _grid_offsets(grid: Grid, rows: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """grid's offsets, the t's, as a column and rows' offsets, the s's, as a row."""
+    return np.arange(grid.lo, grid.hi + 1)[:, None], np.arange(rows.lo, rows.hi + 1)[None, :]
 
 
 def build_greens(op: FracOperator, spec: BoundarySpec,
@@ -107,10 +98,9 @@ def build_greens(op: FracOperator, spec: BoundarySpec,
     within 5e-14 of it.  Raises :class:`NearSingularError` as
     ``solve_bvp`` does.
     """
-    n = op.N
-    b = op.b_offset
-    g = _bordered_solve(op, spec, basis, np.eye(b - n), np.zeros((n + 1, b - n)))
-    return GreensFunction(op.a, n, b, g - cauchy_function(op).values, g)
+    s = len(op.rows)
+    g = _bordered_solve(op, spec, basis, np.eye(s), np.zeros((op.N + 1, s)))
+    return GreensFunction(op.grid, op.rows, g - cauchy_function(op).values, g)
 
 
 def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunction:
@@ -129,7 +119,7 @@ def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunctio
     if b_off < 3:
         raise ValueError(f"b - a must be at least 3, got {b_off}")
     n = 2
-    Grid(a, 1 - n, b_off)  # refuses an a where the points a + t are not exact
+    grid, rows = Grid(a, 1 - n, b_off), Grid(a, n + 1, b_off)  # refuse an inexact a + t
     w = kernel_weights(b_off, nu)  # H_nu(a+m, a) for m = 0..b-a
 
     def mono(m):  # H_nu(a+m, a) vanishes for m <= 0
@@ -140,24 +130,23 @@ def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunctio
         raise DegenerateDenominatorError(
             f"b - a - H_nu(b, a) = {denom:.3e} vanishes at tolerance"
         )
-    t, s = _grid_offsets(n, b_off)
+    t, s = _grid_offsets(grid, rows)
     u = -mono(b_off - s + 1) * ((t - mono(t)) / denom)
-    return GreensFunction(a, n, b_off, u, u + mono(t - s + 1))
+    return GreensFunction(grid, rows, u, u + mono(t - s + 1))
 
 
 def greens_solve(g: GreensFunction, h: GridFunction) -> GridFunction:
     """x(t) = sum_{s=a+N+1}^{b} G(t,s) h(s), the zero-data BVP solution."""
-    return GridFunction(Grid(g.a, g.t_lo, g.b_offset),
-                        g.G @ h.values_on(g.a, g.s_lo, g.b_offset))
+    return GridFunction(g.grid, g.G @ h.values_on(g.rows))
 
 
 def compare_greens(g1: GreensFunction, g2: GreensFunction) -> float:
     """Max absolute entry difference over the stated piecewise region."""
     try:
-        same_base = point_offset(g2.a, g1.a) == 0
+        same_base = point_offset(g2.grid.base, g1.grid.base) == 0
     except OffGridError:
         same_base = False
-    if not same_base or g1.G.shape != g2.G.shape or g1.N != g2.N or g1.b_offset != g2.b_offset:
+    if not same_base or g1.G.shape != g2.G.shape or g1.grid.lo != g2.grid.lo:
         raise ValueError("Green's functions have different index sets")
-    stated = g1.branch != "u*"  # the same table as g2's: both come from (N, b)
+    stated = g1.branch != "u*"  # the same table as g2's: both come from the same ranges
     return float(np.max(np.abs(g1.G[stated] - g2.G[stated])))

@@ -9,7 +9,7 @@ a point within ``_POINT_TOL`` of a grid point and raises
 :class:`OffGridError` for any other, a non-finite one too.  A grid's
 points stay below 2**53 in magnitude, where ``a + k`` is exact.  Function
 values are one read-only float64 array; :meth:`GridFunction.values_on`
-is the one place that turns a base and an offset range into a slice.
+is the one place that turns a grid into a slice of them.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class Grid:
             finite = math.isfinite(self.base)
         except OverflowError:  # an int too large for a float
             finite = False
-        if not finite:
-            raise ValueError(f"grid base must be finite, got {self.base}")
+        if not finite:  # the point rule's refusal of a non-finite point
+            raise OffGridError(f"grid base must be finite, got {self.base}")
         if self.lo > self.hi:
             raise ValueError(f"empty grid: lo={self.lo} > hi={self.hi}")
         try:
@@ -108,17 +108,17 @@ class GridFunction:
             raise OffGridError(f"offset {k} outside [{self.grid.lo}, {self.grid.hi}]")
         return float(self.values[k - self.grid.lo])
 
-    def values_on(self, base: float, lo: int, hi: int) -> np.ndarray:
-        """The read-only values at offsets ``[lo, hi]`` of a grid based at ``base``.
+    def values_on(self, grid: Grid) -> np.ndarray:
+        """The read-only values at the points of ``grid``.
 
         Raises :class:`OffGridError` unless this function is tabulated on
-        a grid based at ``base`` that covers them.
+        a grid with ``grid``'s base that covers them.
         """
         g = self.grid
-        g.require_base(base)
-        if lo < g.lo or hi > g.hi:
-            raise OffGridError(f"offsets [{lo}, {hi}] not covered by [{g.lo}, {g.hi}]")
-        return self.values[lo - g.lo:hi + 1 - g.lo]
+        g.require_base(grid.base)
+        if grid.lo < g.lo or grid.hi > g.hi:
+            raise OffGridError(f"offsets [{grid.lo}, {grid.hi}] not covered by [{g.lo}, {g.hi}]")
+        return self.values[grid.lo - g.lo:grid.hi + 1 - g.lo]
 
 
 def make_grid_function(grid: Grid, f: Callable[[float], float]) -> GridFunction:

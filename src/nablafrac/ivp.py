@@ -26,7 +26,7 @@ from .errors import OffGridError
 from .fraccalc import frac_sum
 from .grid import Grid, GridFunction, constant_grid_function
 from .monomial import kernel_weights, taylor_monomial
-from .operator import FracOperator, GhostClosure
+from .operator import FracOperator, GhostClosure, require_finite
 
 # rows per block of the forward substitution in solve_ivp
 _BLOCK = 32
@@ -84,9 +84,10 @@ def _row_value(op: FracOperator, xs: list[float], lo: int, base: int, t: int) ->
 def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridFunction:
     """Solve L x = h with nabla^i x(a+i) = A_i by blocked forward substitution.
 
-    Returns x on the extended grid [a-N+1, b].  The initial conditions
-    and the ghost closure are satisfied exactly; the equation holds to
-    accumulated rounding.
+    Returns x on ``op.grid``, [a-N+1, b].  The initial conditions and the
+    ghost closure are satisfied exactly; the equation holds to
+    accumulated rounding.  Raises :class:`NonFiniteError` when x outgrows
+    float64.
 
     Row t reads p(t) cap(t) = h(t) + p(t-1) cap(t-1) - q(t) x(t-1), where
     the Caputo value is cap(t) = sum_u g(t-u) x(u) over u >= a+1, plus the
@@ -120,19 +121,20 @@ def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridF
     # first block that is the window [1-N, N], through the kernel weights
     # and nabla^N x(s) for s in [1, 2N] (only its terms in the window).
     acc = np.convolve(np.convolve(binom, x)[n:], kw)[:b]
-    grid = Grid(op.a, -(n - 1), b)
+    hv = h.values_on(op.rows)
     if not op.q.values.any():
-        flux = op.p.values[0] * acc[n - 1] + np.cumsum(h.values_on(op.a, n + 1, b))
+        flux = op.p.values[0] * acc[n - 1] + np.cumsum(hv)
         rest = flux / op.p.values[1:] - acc[n:]
-        return GridFunction(grid, np.concatenate((x, frac_sum(rest, op.nu))))
+        x = np.concatenate((x, frac_sum(rest, op.nu)))
+        return GridFunction(op.grid, require_finite(op, x))
     # h, p and q indexed by offset; rows run over t in [N+1, b]
-    hv = [0.0] * (n + 1) + h.values_on(op.a, n + 1, b).tolist()
+    hv = [0.0] * (n + 1) + hv.tolist()
     p = [0.0] * n + op.p.values.tolist()
     q = [0.0] * (n + 1) + op.q.values.tolist()
     g = np.convolve(kw, binom)[:b]  # g[k]: weight of x(t-k) in cap(t), t-k >= 1
     g1 = g[1:_BLOCK].tolist()
     cap = float(acc[n - 1])  # cap(N)
-    for t0 in range(n + 1, b + 1, _BLOCK):
+    for t0 in op.rows.offsets()[::_BLOCK]:
         t1 = min(t0 + _BLOCK, b + 1)
         xb = []  # this block's values, newest first
         for t, hist in zip(range(t0, t1), acc[t0 - 1:t1 - 1].tolist()):
@@ -143,37 +145,35 @@ def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridF
             xb.insert(0, xt)
         if t1 <= b:
             acc[t1 - 1:] += np.convolve(xb[::-1], g[:b - t0 + 1])[t1 - t0:b + 1 - t0]
-    return GridFunction(grid, x)
+    x = GridFunction(op.grid, x)
+    require_finite(op, x.values)
+    return x
 
 
 def zero_forcing(op: FracOperator) -> GridFunction:
-    return constant_grid_function(Grid(op.a, op.N + 1, op.b_offset), 0.0)
+    return constant_grid_function(op.rows, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class CauchyFunction:
-    """The two-parameter kernel x(t, s) on t in [a-N+1, b] x s in [a+N+1, b].
+    """The kernel x(t, s) on t in ``grid``, [a-N+1, b], x s in ``rows``, [a+N+1, b].
 
     ``values`` is (t, s)-indexed like :attr:`GreensFunction.G`.  Column s
     lives on offsets [s-N, b] and is zero below that, matching the pinned
     zero values at and below rho(s).
     """
 
-    a: float
-    N: int
-    b_offset: int
+    grid: Grid
+    rows: Grid
     values: np.ndarray
 
     def column(self, s_offset: int) -> GridFunction:
         """x(., s) on its own grid [s-N, b]."""
-        if s_offset not in self.s_offsets():
-            raise OffGridError(f"s offset {s_offset} outside [{self.N + 1}, {self.b_offset}]")
-        # t = s-N sits in row s-1, since rows start at t = 1-N
-        return GridFunction(Grid(self.a, s_offset - self.N, self.b_offset),
-                            self.values[s_offset - 1:, s_offset - self.N - 1])
-
-    def s_offsets(self) -> range:
-        return range(self.N + 1, self.b_offset + 1)
+        g, r = self.grid, self.rows
+        if not r.contains_offset(s_offset):
+            raise OffGridError(f"s offset {s_offset} outside [{r.lo}, {r.hi}]")
+        lo = s_offset + g.lo - 1  # s-N, as g.lo = 1-N
+        return GridFunction(Grid(g.base, lo, g.hi), self.values[lo - g.lo:, s_offset - r.lo])
 
 
 def cauchy_function(op: FracOperator) -> CauchyFunction:
@@ -187,26 +187,25 @@ def cauchy_function(op: FracOperator) -> CauchyFunction:
     """
     n = op.N
     b = op.b_offset
-    values = np.zeros((b + n, b - n))
-    for s in range(n + 1, b + 1):
+    values = np.zeros((len(op.grid), len(op.rows)))
+    for s in op.rows.offsets():
         lo = s - n
         xs = [0.0] * (b - lo + 1)
         xs[s - lo] = 1.0 / op.p.at(s)
         for t in range(s + 1, b + 1):
             xs[t - lo] = -_row_value(op, xs, lo, s - 1, t) / op.p.at(t)
         values[s - 1:, s - n - 1] = xs
-    return CauchyFunction(op.a, n, b, values)
+    return CauchyFunction(op.grid, op.rows, require_finite(op, values))
 
 
 def variation_of_constants(op: FracOperator, h: GridFunction) -> GridFunction:
     """Particular solution x(t) = sum_{s=a+N+1}^{t} x(t,s) h(s).
 
     Solves L x = h with all N+1 initial conditions zero; the result is 0
-    on [a-N+1, a+N] and is returned on the extended grid.  x(t, s) = 0
-    for s > t, so the sum is one matrix-vector product.
+    on [a-N+1, a+N] and is returned on ``op.grid``.  x(t, s) = 0 for
+    s > t, so the sum is one matrix-vector product.
     """
-    hv = h.values_on(op.a, op.N + 1, op.b_offset)
-    return GridFunction(Grid(op.a, -(op.N - 1), op.b_offset), cauchy_function(op).values @ hv)
+    return GridFunction(op.grid, cauchy_function(op).values @ h.values_on(op.rows))
 
 
 def homogeneous_basis(op: FracOperator, analytic: bool = False) -> tuple[GridFunction, ...]:
@@ -222,10 +221,9 @@ def homogeneous_basis(op: FracOperator, analytic: bool = False) -> tuple[GridFun
     if analytic:
         if not op.is_basic():
             raise ValueError("analytic basis requires p == 1 and q == 0")
-        grid = Grid(op.a, -(n - 1), op.b_offset)
-        whole = [[taylor_monomial(m, float(k)) for m in grid.offsets()] for k in range(n)]
+        whole = [[taylor_monomial(m, float(k)) for m in op.grid.offsets()] for k in range(n)]
         h_nu = np.concatenate((np.zeros(n - 1), kernel_weights(op.b_offset, op.nu)))
-        return tuple(GridFunction(grid, values) for values in whole + [h_nu])
+        return tuple(GridFunction(op.grid, values) for values in whole + [h_nu])
     h0 = zero_forcing(op)
     return tuple(
         solve_ivp(op, h0, InitialConditions(np.eye(n + 1)[i])) for i in range(n + 1)

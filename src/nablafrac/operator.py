@@ -1,11 +1,13 @@
 """The fractional operator L x = nabla[p * caputo_nu x] + q * shift(x).
 
 ``FracOperator`` carries the base point a, the order nu (strictly
-between N-1 and N; ``N = ceil(nu)`` is found once, at construction), the
-finite coefficient functions p > 0 on [a+N, b] and q on [a+N+1, b].
-``apply`` evaluates the operator as a residual on [a+N+1, b]; the
-argument must carry the N-1 ghost points below a that the Caputo sum
-consumes (see :class:`GhostClosure`).
+between N-1 and N), the finite coefficient functions p > 0 on [a+N, b]
+and q on [a+N+1, b], and what construction finds once: ``N = ceil(nu)``,
+``grid`` = [a-N+1, b], the unknowns, and ``rows`` = [a+N+1, b], the
+equation rows, h, q and the s of the Cauchy and Green's kernels.
+``apply`` evaluates the operator as a residual on ``rows``; the argument
+must carry the N-1 ghost points below a that the Caputo sum consumes
+(see :class:`GhostClosure`).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .fraccalc import frac_sum, fractional_order_n, order_n
 from .grid import Grid, GridFunction, constant_grid_function
 
@@ -63,6 +66,8 @@ class FracOperator:
     p: GridFunction
     q: GridFunction
     N: int = field(init=False, repr=False, compare=False)
+    grid: Grid = field(init=False, repr=False, compare=False)  # [a-N+1, b]: the unknowns
+    rows: Grid = field(init=False, repr=False, compare=False)  # [a+N+1, b]: the equation rows
 
     def __post_init__(self):
         n = fractional_order_n(self.nu)
@@ -78,6 +83,8 @@ class FracOperator:
             raise ValueError("p must be finite and strictly positive")
         if not np.all(np.isfinite(self.q.values)):
             raise ValueError("q must be finite")
+        object.__setattr__(self, "grid", Grid(self.a, 1 - n, b))
+        object.__setattr__(self, "rows", Grid(self.a, n + 1, b))
 
     @property
     def b_offset(self) -> int:
@@ -87,16 +94,18 @@ class FracOperator:
     def b(self) -> float:
         return self.a + self.b_offset
 
+    @staticmethod
+    def coefficient_grids(a: float, nu: float, b_offset: int) -> tuple[Grid, Grid]:
+        """The grids p and q must cover, [a+N, b] and [a+N+1, b]."""
+        n = order_n(nu)
+        return Grid(a, n, b_offset), Grid(a, n + 1, b_offset)
+
     @classmethod
     def constant(cls, a: float, nu: float, b_offset: int,
                  p: float = 1.0, q: float = 0.0) -> "FracOperator":
         """Operator with constant coefficients on [a, a + b_offset]."""
-        n = order_n(nu)
-        return cls(
-            a, nu,
-            constant_grid_function(Grid(a, n, b_offset), p),
-            constant_grid_function(Grid(a, n + 1, b_offset), q),
-        )
+        p_grid, q_grid = cls.coefficient_grids(a, nu, b_offset)
+        return cls(a, nu, constant_grid_function(p_grid, p), constant_grid_function(q_grid, q))
 
     def is_basic(self) -> bool:
         """True when p == 1 and q == 0, the case with an analytic basis."""
@@ -104,7 +113,7 @@ class FracOperator:
 
 
 def apply_array(op: FracOperator, x: np.ndarray) -> np.ndarray:
-    """(L x)(t) for t in [a+N+1, b] from the values of x on [a-N+1, b].
+    """(L x)(t) for t in ``op.rows`` from the values of x on ``op.grid``.
 
     x is (b+N,) or (b+N, k), one function per column, elementwise along axis 0.
     """
@@ -118,12 +127,21 @@ def apply_array(op: FracOperator, x: np.ndarray) -> np.ndarray:
 
 
 def apply(op: FracOperator, x: GridFunction) -> GridFunction:
-    """Evaluate (L x)(t) for t in [a+N+1, b].
+    """Evaluate (L x)(t) for t in ``op.rows``.
 
-    x must be defined on [a-N+1, b] (ghost points included); only those
+    x must be defined on ``op.grid`` (ghost points included); only those
     values are read, so the result does not depend on how far x's grid
     reaches past b.
     """
-    n = op.N
-    b = op.b_offset
-    return GridFunction(Grid(op.a, n + 1, b), apply_array(op, x.values_on(op.a, -(n - 1), b)))
+    return GridFunction(op.rows, apply_array(op, x.values_on(op.grid)))
+
+
+def require_finite(op: FracOperator, x: np.ndarray) -> np.ndarray:
+    """x, with axis 0 on ``op.grid``, unless it holds an inf or a NaN: then
+    :class:`NonFiniteError`, naming the first offset that does and max|x| before it."""
+    if np.isfinite(x).all():
+        return x
+    i = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
+    k = op.grid.lo + i
+    raise NonFiniteError(f"the answer holds an inf or a NaN from offset {k} (t = {op.a + k:.17g});"
+                         f" max|x| before it is {np.max(np.abs(x[:i]), initial=0.0):.3e}")

@@ -79,8 +79,9 @@ def _system(op: FracOperator, h: GridFunction, closure: GhostClosure,
         for i in range(n + 1):
             eq[:, 1 - i - lo:b + 1 - i - lo] += kern * (-1) ** i * comb(n, i)
     eq[np.arange(b - n), t - 1 - lo] += op.q.values
+    hv = h.values_on(Grid(op.a, n + 1, b))  # its own h slice, not op.rows
     return DenseSystem(op.a, n, b, np.vstack((side, eq)),
-                       np.concatenate(([v for *_, v in conditions], h.values_on(op.a, n + 1, b))))
+                       np.concatenate(([v for *_, v in conditions], hv)))
 
 
 def assemble_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> DenseSystem:
@@ -135,7 +136,7 @@ def dense_solve(sys: DenseSystem) -> DenseSolution:
 
 def residual(op: FracOperator, x: GridFunction, h: GridFunction) -> float:
     """||apply(op, x) - h||_inf over the equation rows."""
-    hs = h.values_on(op.a, op.N + 1, op.b_offset)
+    hs = h.values_on(Grid(op.a, op.N + 1, op.b_offset))
     return float(np.max(np.abs(apply(op, x).values - hs)))
 
 

@@ -70,7 +70,7 @@ def mp_solve_ivp(op, h, ic, dps=60):
     is rounded back to float64.
     """
     with mpmath.workdps(dps):
-        x = _mp_march(op, _mp_kernel(op), h.values_on(op.a, op.N + 1, op.b_offset), ic.values,
+        x = _mp_march(op, _mp_kernel(op), h.values_on(Grid(op.a, op.N + 1, op.b_offset)), ic.values,
                       ic.closure.ghost_values(op.N - 1))
         return np.array([float(v) for v in x])
 

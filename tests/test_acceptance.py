@@ -103,14 +103,14 @@ def test_criterion_04_cauchy_examples(capsys):
     for nu in (0.5, 1.5, 2.4):
         op = FracOperator.constant(0.0, nu, 12)
         cf = cauchy_function(op)
-        for s in cf.s_offsets():
+        for s in cf.rows.offsets():
             col = cf.column(s)
             for t in col.grid.offsets():
                 assert abs(col.at(t) - taylor_monomial(t - (s - 1), nu)) <= 1e-10
     rng = np.random.default_rng(17)
     op = random_operator(rng, 0.0, 1.5, 12, q_range=(0.0, 0.0))
     cf = cauchy_function(op)
-    for s in cf.s_offsets():
+    for s in cf.rows.offsets():
         inv_p = GridFunction(
             Grid(0.0, s, 12), tuple(1.0 / op.p.at(k) for k in range(s, 13))
         )

@@ -11,10 +11,12 @@ from nablafrac import (
     Grid,
     GridFunction,
     NearSingularError,
+    NonFiniteError,
     apply,
     assemble_bvp,
     assemble_d,
     boundary_rows,
+    constant_grid_function,
     homogeneous_basis,
     make_grid_function,
     residual,
@@ -248,6 +250,12 @@ class TestSolveBvp:
         op = random_operator(rng, 0.0, 1.5, 10)
         x = solve_bvp(op, zero_forcing(op), BoundarySpec.conjugate())
         assert max(abs(v) for v in x.values) < 1e-12
+
+    def test_an_answer_past_float64_is_refused(self):
+        # the system is well conditioned; its solve overflows on h = 1e308
+        op = FracOperator.constant(0.0, 1.5, 12)
+        with pytest.raises(NonFiniteError, match="holds an inf or a NaN"):
+            solve_bvp(op, constant_grid_function(op.rows, 1e308), BoundarySpec.conjugate())
 
     def test_boundary_residuals_on_random_instances(self, rng):
         for trial in range(8):

@@ -192,7 +192,7 @@ class TestCauchy:
                                           GridFunction(Grid(0.0, 2, 8), cfg["p"]["values"]),
                                           GridFunction(Grid(0.0, 3, 8), cfg["q"]["values"])))
         want = [[str(k), _fmt(k), str(s), _fmt(s), _fmt(cf.column(s).at(k))]
-                for s in cf.s_offsets() for k in cf.column(s).grid.offsets()]
+                for s in cf.rows.offsets() for k in cf.column(s).grid.offsets()]
         assert rows == want
 
 
@@ -612,6 +612,8 @@ GREENS_NU_2_5 = {"a": 0.0, "b_offset": 8, "nu": 2.5, "p": 1.0, "q": 0.0, "h": 1.
                  id="degenerate-exits-two"),
     pytest.param(["greens", "--conjugate", "a=1e17", "b=100000000000000016", "nu=1.5"], 1,
                  "a = 1e+17", id="a-beyond-2**53"),
+    pytest.param(["monomial", "--nu", "1.5", "--a", "1e17", "--hi", "3"], 1, "a = 1e+17",
+                 id="monomial-a-beyond-2**53"),
 ])
 def test_cli_returns_its_documented_code_and_never_raises(tmp_path, capsys, argv, code, named):
     paths = {"greens_nu_2_5": write_config(tmp_path, GREENS_NU_2_5),
@@ -815,6 +817,38 @@ def test_mutated_config_exits_with_a_documented_code(tmp_path_factory, field, va
             assert "check" not in out
         if value is _UNKNOWN_KEY:  # every command checks every object
             assert code == 1, (argv, code)
+
+
+@pytest.mark.parametrize("command", ["solve-ivp", "verify"])
+@pytest.mark.parametrize("cfg, where", [
+    # solve-ivp printed 61 rows of inf and nan from t = 1440 on and exited 0, and
+    # verify printed "scaled nan ... FAIL" for check 1, then exited 2 on the oracle
+    pytest.param(variable_ivp_config(np.random.default_rng(0), 2.5, 1500),
+                 "offset 1440 (t = 1440); max|x| before it is 7.733e+307", id="variable-b-1500"),
+    # the q == 0 path, whose running sum of h overflows in numpy, which warns
+    pytest.param(ivp_config(h=1e308), "offset 4 (t = 4); max|x| before it is 1.000e+308",
+                 id="q-zero-h-1e308"),
+])
+def test_an_answer_past_float64_exits_three_before_any_output(tmp_path, capsys, command,
+                                                              cfg, where):
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [f"error: the answer holds an inf or a NaN from {where}"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nu=st.sampled_from([2.2, 2.5, 2.9, 3.3]),
+       b=st.integers(100, 1500))
+def test_growing_answers_are_finite_output_or_exit_three(tmp_path_factory, seed, nu, b):
+    config = tmp_path_factory.mktemp("grow") / "config.json"
+    config.write_text(json.dumps(variable_ivp_config(np.random.default_rng(seed), nu, b)))
+    code, out, err = _run_in_process(["solve-ivp", "--config", str(config)])
+    if code == 0:
+        values = [float(row[2]) for row in list(csv.reader(io.StringIO(out)))[1:]]
+        assert len(values) == b + math.ceil(nu) and all(map(math.isfinite, values)) and err == ""
+    else:
+        assert code == 3 and out == "" and len(err.splitlines()) == 1, (code, err)
 
 
 def _module_env():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nablafrac import (
     BoundarySpec,
@@ -85,7 +86,7 @@ class TestBuildGreens:
         g = build_greens(op, spec, basis)
         from nablafrac import apply, zero_forcing
         for s in range(3, 10):
-            ucol = GridFunction(Grid(0.0, g.t_lo, 9), tuple(g.u[:, s - 3]))
+            ucol = GridFunction(Grid(0.0, g.grid.lo, 9), tuple(g.u[:, s - 3]))
             assert residual(op, ucol, zero_forcing(op)) < 1e-9
 
     def test_right_functional_of_v_vanishes(self):
@@ -101,7 +102,7 @@ class TestBuildGreens:
             s = t + 1
             if s < 3:
                 continue
-            ti, si = t - g.t_lo, s - g.s_lo
+            ti, si = t - g.grid.lo, s - g.rows.lo
             assert g.u[ti, si] == pytest.approx(g.v[ti, si], abs=1e-13)
 
     def test_g_is_the_stated_piece_on_every_cell(self, rng):
@@ -164,12 +165,35 @@ class TestAgainst50Digits:
         assert np.max(np.abs(g.G - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+class TestSelfAdjointLimit:
+    """At nu = 1, L is the self-adjoint nabla[p nabla x] + q x(t-1), whose Green's
+    function for x(a) = x(b) = 0 has G(t, s) = G(s-1, t+1) (Kelley & Peterson,
+    Difference Equations, 2nd ed., ch. 6); as nu -> 1- the asymmetry vanishes
+    linearly in 1 - nu, with variable p and q and no oracle."""
+
+    SPEC = BoundarySpec(((1.0, 0.0),), (0.0,), (1.0, 0.0), 0.0)
+
+    def gap(self, seed, b, eps):
+        """max|G(t, s) - G(s-1, t+1)| / max|G| over t in [1, b-1] and s in [2, b]."""
+        op = random_operator(np.random.default_rng(seed), 0.0, 1.0 - eps, b)
+        g = build_greens(op, self.SPEC, homogeneous_basis(op)).G  # t from 0, s from 2
+        t, s = np.arange(1, b)[:, None], np.arange(2, b + 1)[None, :]
+        return np.max(np.abs(g[t, s - 2] - g[s - 1, t - 1])) / np.max(np.abs(g))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(6, 40))
+    def test_asymmetry_is_linear_in_one_minus_nu(self, seed, b):
+        near, nearer = self.gap(seed, b, 1e-6), self.gap(seed, b, 1e-9)
+        assert near <= 50 * 1e-6 and nearer <= 50 * 1e-9
+        assert near / nearer / 1000 == pytest.approx(1.0, rel=1e-4)
+
+
 class TestColumn:
     @pytest.mark.parametrize("basic", [True, False])
     def test_each_column_solves_the_impulse_equation(self, rng, basic):
         op = FracOperator.constant(0.0, 1.5, 12) if basic else random_operator(rng, 0.0, 1.5, 12)
         g = build_greens(op, BoundarySpec.conjugate(), homogeneous_basis(op, analytic=basic))
-        for s in range(g.s_lo, g.b_offset + 1):
+        for s in g.rows.offsets():
             lx = apply(op, g.column(s))
             impulse = np.arange(lx.grid.lo, lx.grid.hi + 1) == s
             assert np.max(np.abs(lx.values - impulse)) < 1e-12
@@ -186,7 +210,7 @@ class TestGreensSolve:
         s0 = 6
         h = GridFunction(Grid(0.0, 3, 9), tuple(1.0 if s == s0 else 0.0 for s in range(3, 10)))
         x = greens_solve(g, h)
-        for t in range(g.t_lo, 10):
+        for t in g.grid.offsets():
             assert x.at(t) == g.value(t, s0)
 
     def test_solves_zero_data_bvp(self, rng):

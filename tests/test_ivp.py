@@ -11,6 +11,7 @@ from nablafrac import (
     Grid,
     GridFunction,
     InitialConditions,
+    NonFiniteError,
     OffGridError,
     apply,
     cauchy_function,
@@ -261,7 +262,7 @@ class TestCauchyFunction:
         for nu in (0.5, 1.5, 2.4):
             op = FracOperator.constant(0.0, nu, 12)
             cf = cauchy_function(op)
-            for s in cf.s_offsets():
+            for s in cf.rows.offsets():
                 col = cf.column(s)
                 for t in col.grid.offsets():
                     assert col.at(t) == pytest.approx(
@@ -283,7 +284,7 @@ class TestCauchyFunction:
         op = FracOperator.constant(0.0, nu, 24, p=1.7, q=-0.4)
         cf = cauchy_function(op)
         first = cf.column(op.N + 1).values
-        for s in cf.s_offsets():
+        for s in cf.rows.offsets():
             col = cf.column(s).values
             assert col.tobytes() == first[:len(col)].tobytes()
 
@@ -291,7 +292,7 @@ class TestCauchyFunction:
         # q = 0: x(t, s) = (integral of 1/p of order nu, based at rho(s))(t)
         op = random_operator(rng, 0.0, 1.5, 12, q_range=(0.0, 0.0))
         cf = cauchy_function(op)
-        for s in cf.s_offsets():
+        for s in cf.rows.offsets():
             inv_p = GridFunction(
                 Grid(0.0, s, 12), tuple(1.0 / op.p.at(k) for k in range(s, 13))
             )
@@ -304,7 +305,7 @@ class TestCauchyFunction:
     def test_impulse_conditions(self, rng):
         op = random_operator(rng, 0.0, 2.4, 13)
         cf = cauchy_function(op)
-        for s in cf.s_offsets():
+        for s in cf.rows.offsets():
             col = cf.column(s)
             # zero values at and below rho(s)
             for t in range(s - 3, s):
@@ -319,7 +320,7 @@ class TestCauchyFunction:
         # L_{rho(s)} x(., s) = 0 for t in [s+N, b]
         op = random_operator(rng, 0.0, 1.5, 12)
         cf = cauchy_function(op)
-        for s in cf.s_offsets():
+        for s in cf.rows.offsets():
             col = cf.column(s)
             for t in range(s + 2, 13):
                 cap = lambda tau: sum(
@@ -342,7 +343,7 @@ class TestCauchyFunction:
         t = np.arange(-2, 12)[:, None]
         s = np.arange(4, 12)[None, :]
         assert np.all(cf.values[t < s] == 0.0)
-        for si, s_off in enumerate(cf.s_offsets()):
+        for si, s_off in enumerate(cf.rows.offsets()):
             col = cf.column(s_off)
             assert (col.grid.lo, col.grid.hi) == (s_off - 3, 11)
             assert col.values.tobytes() == cf.values[s_off - 1:, si].tobytes()
@@ -415,3 +416,25 @@ class TestHomogeneousBasis:
         op = random_operator(rng, 0.0, 1.5, 9)
         with pytest.raises(ValueError):
             homogeneous_basis(op, analytic=True)
+
+
+class TestNonFiniteAnswer:
+    # x(3) = h(3) = 1e308 and x(4) = h(4) + x(3) - q x(3) overflows, on either path;
+    # the q == 0 path's running sum of h overflows in numpy, which warns first
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("q", [0.0, 0.5], ids=["q-zero", "q-variable"])
+    def test_solve_ivp_names_the_first_offset_past_float64(self, q):
+        op = FracOperator.constant(0.0, 1.5, 12, q=q)
+        with pytest.raises(NonFiniteError, match=r"offset 4 \(t = 4\); max\|x\| before it is 1\.000e\+308"):
+            solve_ivp(op, constant_grid_function(op.rows, 1e308), InitialConditions.zeros(2))
+
+    def test_huge_but_finite_answers_are_answers(self):
+        op = FracOperator.constant(0.0, 1.5, 12, q=0.5)
+        x = solve_ivp(op, constant_grid_function(op.rows, 1e306), InitialConditions.zeros(2))
+        assert np.all(np.isfinite(x.values)) and np.max(np.abs(x.values)) > 1e306
+
+    def test_cauchy_function_names_the_first_offset_past_float64(self):
+        # x(s, s) = 1/p(s) = 1e308, and the next row of each column overflows
+        op = FracOperator.constant(0.0, 1.5, 8, p=1e-308)
+        with pytest.raises(NonFiniteError, match=r"offset 4 .* before it is 1\.000e\+308"):
+            cauchy_function(op)

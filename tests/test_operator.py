@@ -27,6 +27,14 @@ def monomial_function(base, lo, hi, nu):
 
 
 class TestFracOperator:
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
+    def test_owns_the_unknowns_grid_and_the_equation_rows(self, rng, nu):
+        op = random_operator(rng, 2.0, nu, 9)
+        n = op.N
+        assert op.grid == Grid(2.0, 1 - n, 9) and op.rows == Grid(2.0, n + 1, 9)
+        x = GridFunction(op.grid, rng.uniform(-1, 1, len(op.grid)))
+        assert apply(op, x).grid == op.rows
+
     def test_rejects_integer_order(self):
         with pytest.raises(ValueError):
             FracOperator.constant(0.0, 2.0, 8)
@@ -141,7 +149,8 @@ class TestApply:
         op = random_operator(rng, 0.0, nu, 37)
         n, b = op.N, op.b_offset
         x = GridFunction(Grid(0.0, -n - 2, b + 3), tuple(rng.uniform(-1, 1, b + n + 6)))
-        cut = GridFunction(Grid(0.0, x.grid.lo, b), x.values_on(0.0, x.grid.lo, b))
+        grid = Grid(0.0, x.grid.lo, b)
+        cut = GridFunction(grid, x.values_on(grid))
         cap = caputo_difference(cut, op.a, op.nu).values
         flux = np.multiply(op.p.values, cap[n:b + 1])
         shifted = np.multiply(op.q.values, x.values[n - x.grid.lo:b - x.grid.lo])
