@@ -150,7 +150,7 @@ def _bordered_solve(op: FracOperator, spec: BoundarySpec,
     matrix[2 * n:3 * n + 1, :m] = boundary_rows(spec, op.b_offset)
     matrix[3 * n + 1:, :m] = apply_array(op, np.eye(m))
     rhs = np.concatenate((np.zeros((2 * n,) + h.shape[1:]), values, h))
-    return require_finite(op, gauss_solve(matrix, rhs)[:m])
+    return require_finite(op.grid, gauss_solve(matrix, rhs)[:m])
 
 
 def solve_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,

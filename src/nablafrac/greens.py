@@ -26,7 +26,7 @@ from .fraccalc import fractional_order_n
 from .grid import Grid, GridFunction, point_offset
 from .ivp import cauchy_function
 from .monomial import kernel_weights
-from .operator import FracOperator
+from .operator import FracOperator, require_finite
 
 _DEGENERATE_TOL = 1e-12
 
@@ -136,8 +136,11 @@ def conjugate_greens_closed_form(a: float, b: float, nu: float) -> GreensFunctio
 
 
 def greens_solve(g: GreensFunction, h: GridFunction) -> GridFunction:
-    """x(t) = sum_{s=a+N+1}^{b} G(t,s) h(s), the zero-data BVP solution."""
-    return GridFunction(g.grid, g.G @ h.values_on(g.rows))
+    """x(t) = sum_{s=a+N+1}^{b} G(t,s) h(s), the zero-data BVP solution.
+
+    Raises :class:`NonFiniteError` when x outgrows float64.
+    """
+    return GridFunction(g.grid, require_finite(g.grid, g.G @ h.values_on(g.rows)))
 
 
 def compare_greens(g1: GreensFunction, g2: GreensFunction) -> float:

@@ -126,7 +126,7 @@ def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridF
         flux = op.p.values[0] * acc[n - 1] + np.cumsum(hv)
         rest = flux / op.p.values[1:] - acc[n:]
         x = np.concatenate((x, frac_sum(rest, op.nu)))
-        return GridFunction(op.grid, require_finite(op, x))
+        return GridFunction(op.grid, require_finite(op.grid, x))
     # h, p and q indexed by offset; rows run over t in [N+1, b]
     hv = [0.0] * (n + 1) + hv.tolist()
     p = [0.0] * n + op.p.values.tolist()
@@ -146,7 +146,7 @@ def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridF
         if t1 <= b:
             acc[t1 - 1:] += np.convolve(xb[::-1], g[:b - t0 + 1])[t1 - t0:b + 1 - t0]
     x = GridFunction(op.grid, x)
-    require_finite(op, x.values)
+    require_finite(op.grid, x.values)
     return x
 
 
@@ -195,7 +195,7 @@ def cauchy_function(op: FracOperator) -> CauchyFunction:
         for t in range(s + 1, b + 1):
             xs[t - lo] = -_row_value(op, xs, lo, s - 1, t) / op.p.at(t)
         values[s - 1:, s - n - 1] = xs
-    return CauchyFunction(op.grid, op.rows, require_finite(op, values))
+    return CauchyFunction(op.grid, op.rows, require_finite(op.grid, values))
 
 
 def variation_of_constants(op: FracOperator, h: GridFunction) -> GridFunction:
@@ -203,9 +203,11 @@ def variation_of_constants(op: FracOperator, h: GridFunction) -> GridFunction:
 
     Solves L x = h with all N+1 initial conditions zero; the result is 0
     on [a-N+1, a+N] and is returned on ``op.grid``.  x(t, s) = 0 for
-    s > t, so the sum is one matrix-vector product.
+    s > t, so the sum is one matrix-vector product.  Raises
+    :class:`NonFiniteError` when x outgrows float64.
     """
-    return GridFunction(op.grid, cauchy_function(op).values @ h.values_on(op.rows))
+    x = cauchy_function(op).values @ h.values_on(op.rows)
+    return GridFunction(op.grid, require_finite(op.grid, x))
 
 
 def homogeneous_basis(op: FracOperator, analytic: bool = False) -> tuple[GridFunction, ...]:

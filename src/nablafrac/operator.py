@@ -136,12 +136,15 @@ def apply(op: FracOperator, x: GridFunction) -> GridFunction:
     return GridFunction(op.rows, apply_array(op, x.values_on(op.grid)))
 
 
-def require_finite(op: FracOperator, x: np.ndarray) -> np.ndarray:
-    """x, with axis 0 on ``op.grid``, unless it holds an inf or a NaN: then
+def require_finite(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """x, with axis 0 on ``grid``, unless it holds an inf or a NaN: then
     :class:`NonFiniteError`, naming the first offset that does and max|x| before it."""
-    if np.isfinite(x).all():
+    finite = np.isfinite(x)
+    if finite.all():
         return x
-    i = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
-    k = op.grid.lo + i
-    raise NonFiniteError(f"the answer holds an inf or a NaN from offset {k} (t = {op.a + k:.17g});"
-                         f" max|x| before it is {np.max(np.abs(x[:i]), initial=0.0):.3e}")
+    i = int(np.argmin(finite.reshape(len(x), -1).all(axis=1)))
+    k = grid.lo + i
+    before = (f"max|x| before it is {np.max(np.abs(x[:i])):.3e}" if i
+              else "no value is finite" if not finite.any() else "it is the answer's first offset")
+    raise NonFiniteError(f"the answer holds an inf or a NaN from offset {k} "
+                         f"(t = {grid.base + k:.17g}); {before}")

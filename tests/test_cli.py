@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nablafrac import (FracOperator, Grid, GridFunction, cauchy_function,
+from nablafrac import (FracOperator, GreensFunction, Grid, GridFunction, cauchy_function,
                        conjugate_greens_closed_form, solve_ivp, taylor_monomial)
 from nablafrac import cli
 from nablafrac.cli import _fmt, main
@@ -374,7 +374,7 @@ class TestVerify:
         assert [ln.split(": ")[1] for ln in lines] == names
 
     def test_failing_check_exits_ten_plus_its_number(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("NABLA_GREEN_TOL", "1e-300")
+        monkeypatch.setattr(cli, "DEFAULT_TOL", 1e-300)
         cfg = ivp_config(q=0.3, problem={"type": "ivp", "A": [0.1, -0.2, 0.3]})
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 11
         out = capsys.readouterr().out
@@ -469,25 +469,39 @@ class TestVerify:
         assert "max residual 0.000e+00, scaled 0.000e+00" in lines[1] and "PASS" in lines[1]
         assert "max gap 0.000e+00, over max|x| 0.000e+00" in lines[2] and "PASS" in lines[2]
 
-    def test_env_tolerance_override(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("NABLA_GREEN_TOL", "1e-2")
-        assert main(["verify", "--config",
-                     write_config(tmp_path, ivp_config())]) == 0
-        assert "1.0e-02" in capsys.readouterr().out
+    @staticmethod
+    def _closed_form_changed(monkeypatch, change):
+        """verify's closed form, with change(v) in place of its G."""
+        closed_form = cli.conjugate_greens_closed_form
 
-    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "0"])
-    def test_non_finite_or_non_positive_env_tolerance_exits_one(self, tmp_path, monkeypatch,
-                                                                capsys, value):
-        monkeypatch.setenv("NABLA_GREEN_TOL", value)
-        assert main(["verify", "--config", write_config(tmp_path, ivp_config())]) == 1
-        out = capsys.readouterr()
-        assert "check" not in out.out
-        assert "NABLA_GREEN_TOL" in out.err
+        def changed(*args):
+            g = closed_form(*args)
+            return GreensFunction(g.grid, g.rows, g.u, change(g.v.copy()))
 
-    def test_bad_env_tolerance_exits_one(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NABLA_GREEN_TOL", "not-a-number")
-        assert main(["verify", "--config",
-                     write_config(tmp_path, ivp_config())]) == 1
+        monkeypatch.setattr(cli, "conjugate_greens_closed_form", changed)
+
+    def test_closed_form_gap_is_judged_relative_to_max_g(self, tmp_path, monkeypatch, capsys):
+        # nu = 1.5, b = 32: max|G| is about 16, so a gap of 5e-8 on one stated
+        # cell is about 3e-9 of it; an absolute verdict failed it against 1e-8
+        def nudged(v):
+            v[10, 20] += 5e-8
+            return v
+
+        self._closed_form_changed(monkeypatch, nudged)
+        cfg = ivp_config(b_offset=32, problem={"type": "greens"})
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line.startswith("check 1: greens-closed-form-agreement") and line.endswith("PASS")
+        gap, rel = (float(v.split(" ")[-1]) for v in line.split(" (")[0].split(", "))
+        assert gap > 1e-8 and 1e-9 < rel < 1e-8
+        assert "over max|G|" in line
+
+    def test_closed_form_off_by_a_relative_1e_6_fails(self, tmp_path, monkeypatch, capsys):
+        self._closed_form_changed(monkeypatch, lambda v: v * (1 + 1e-6))
+        cfg = ivp_config(b_offset=32, problem={"type": "greens"})
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 11
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line.startswith("check 1: greens-closed-form-agreement") and line.endswith("FAIL")
 
 
 class TestConfigNumbers:
@@ -608,6 +622,8 @@ GREENS_NU_2_5 = {"a": 0.0, "b_offset": 8, "nu": 2.5, "p": 1.0, "q": 0.0, "h": 1.
                  id="greens-key-twice"),
     pytest.param(["greens", "--config", "{greens_1_5}", "nu=1.5"], 1, "'nu=1.5'",
                  id="greens-params-with-config"),
+    pytest.param(["greens", "--config", "{greens_p_2}", "--conjugate"], 1, "'--conjugate'",
+                 id="greens-conjugate-with-config"),
     pytest.param(["greens", "--conjugate", "a=0", "b=3", "nu=1.0000000000001"], 2, "vanishes",
                  id="degenerate-exits-two"),
     pytest.param(["greens", "--conjugate", "a=1e17", "b=100000000000000016", "nu=1.5"], 1,
@@ -618,6 +634,8 @@ GREENS_NU_2_5 = {"a": 0.0, "b_offset": 8, "nu": 2.5, "p": 1.0, "q": 0.0, "h": 1.
 def test_cli_returns_its_documented_code_and_never_raises(tmp_path, capsys, argv, code, named):
     paths = {"greens_nu_2_5": write_config(tmp_path, GREENS_NU_2_5),
              "greens_1_5": write_config(tmp_path, dict(GREENS_NU_2_5, nu=1.5), "g15.json"),
+             "greens_p_2": write_config(tmp_path, dict(GREENS_NU_2_5, nu=1.5, p=2.0,
+                                                       problem={"type": "greens"}), "gp2.json"),
              "missing": str(tmp_path / "missing" / "x.csv")}
     assert main([arg.format(**paths) for arg in argv]) == code
     err = capsys.readouterr().err

@@ -10,6 +10,7 @@ from nablafrac import (
     Grid,
     GridFunction,
     NearSingularError,
+    NonFiniteError,
     OffGridError,
     apply,
     assemble_bvp,
@@ -17,6 +18,7 @@ from nablafrac import (
     build_greens,
     compare_greens,
     conjugate_greens_closed_form,
+    constant_grid_function,
     dense_solve,
     greens_solve,
     homogeneous_basis,
@@ -225,6 +227,15 @@ class TestGreensSolve:
             assert abs(x.at(12)) < 1e-9
             xb = solve_bvp(op, h, spec, basis)
             assert max_gap(x, xb) < 1e-8
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_answer_past_float64_is_refused(self):
+        # G(a-1, s) is not 0 here, so the first offset overflows on h = 1e308,
+        # while the second, where G is 0, does not
+        op, spec, basis = conjugate_setup(0.0, 12, 1.5)
+        h = constant_grid_function(op.rows, 1e308)
+        with pytest.raises(NonFiniteError, match=r"offset -1 \(t = -1\); it is the answer's first"):
+            greens_solve(build_greens(op, spec, basis), h)
 
 
 class TestOffsets:

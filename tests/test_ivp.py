@@ -348,6 +348,17 @@ class TestCauchyFunction:
             assert (col.grid.lo, col.grid.hi) == (s_off - 3, 11)
             assert col.values.tobytes() == cf.values[s_off - 1:, si].tobytes()
 
+    @pytest.mark.parametrize("b", [24, 40])
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
+    def test_columns_against_60_digits(self, rng, nu, b):
+        # column s solves L x = e_s from zero initial data
+        op = random_operator(rng, 0.0, nu, b)
+        cf = cauchy_function(op)
+        for j, s in enumerate(cf.rows.offsets()):
+            e_s = GridFunction(op.rows, np.eye(len(op.rows))[j])
+            ref = mp_solve_ivp(op, e_s, InitialConditions.zeros(op.N))
+            assert np.max(np.abs(cf.values[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_column_outside_s_range_is_an_error(self):
         cf = cauchy_function(FracOperator.constant(0.0, 1.5, 8))
         for s in (2, 9, -1):
@@ -432,6 +443,12 @@ class TestNonFiniteAnswer:
         op = FracOperator.constant(0.0, 1.5, 12, q=0.5)
         x = solve_ivp(op, constant_grid_function(op.rows, 1e306), InitialConditions.zeros(2))
         assert np.all(np.isfinite(x.values)) and np.max(np.abs(x.values)) > 1e306
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_variation_of_constants_names_the_first_offset_past_float64(self):
+        op = FracOperator.constant(0.0, 1.5, 12)
+        with pytest.raises(NonFiniteError, match=r"offset 4 \(t = 4\); max\|x\| before it is 1\.000e\+308"):
+            variation_of_constants(op, constant_grid_function(op.rows, 1e308))
 
     def test_cauchy_function_names_the_first_offset_past_float64(self):
         # x(s, s) = 1/p(s) = 1e308, and the next row of each column overflows
