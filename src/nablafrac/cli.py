@@ -273,53 +273,26 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _greens_basis(op: FracOperator):
-    """The basis a greens config builds G over: analytic when p == 1 and q == 0."""
-    return homogeneous_basis(op, analytic=op.is_basic())
-
-
-_GREENS_PARAMS = ("a", "b", "nu")
-
-
-def _greens_params(words: Sequence[str]) -> dict:
-    """The key=value words as a dict; any other word is an ArgumentError."""
-    params = {}
-    for word in words:
-        key, sep, value = word.partition("=")
-        if not sep or key not in _GREENS_PARAMS or key in params:
-            raise ArgumentError(word, "expected each of a=<real> b=<real> nu=<real> at most once")
-        params[key] = value
-    return params
-
-
-def _greens_from_args(args):
-    params = _greens_params(args.params)
-    if args.config:
-        if params:
-            raise ArgumentError(args.params[0], "key=value parameters cannot be used with --config")
-        if args.conjugate:
-            raise ArgumentError("--conjugate", "cannot be used with --config")
-        cfg = load_config(args.config)
-        _, problem = _problem(cfg, "greens")
-        op = build_operator(cfg)
-        if problem.get("conjugate", False):
-            if not op.is_basic():
-                raise ConfigError("problem.conjugate", "requires p == 1 and q == 0")
-            return conjugate_greens_closed_form(op.a, op.b, op.nu)
-        if op.N != 2:
-            raise ConfigError("problem", "generic greens output needs N == 2 conjugate spec")
-        return build_greens(op, BoundarySpec.conjugate(), _greens_basis(op))
-    if not args.conjugate:
-        raise ArgumentError("--conjugate", "greens needs it with a=, b=, nu=, or --config")
-    try:
-        values = [float(params[k]) for k in _GREENS_PARAMS]
-    except (KeyError, ValueError):
-        raise ArgumentError("--conjugate", "needs a=<real> b=<real> nu=<real>")
-    return conjugate_greens_closed_form(*map(_finite, _GREENS_PARAMS, values))
+def _greens(op: FracOperator):
+    """The spec, the basis and G of a greens config: the (2,1) conjugate problem over
+    the analytic basis when p == 1 and q == 0, else over the numeric one."""
+    if op.N != 2:
+        raise ConfigError("problem", "generic greens output needs N == 2 conjugate spec")
+    spec = BoundarySpec.conjugate()
+    basis = homogeneous_basis(op, analytic=op.is_basic())
+    return spec, basis, build_greens(op, spec, basis)
 
 
 def cmd_greens(args) -> int:
-    g = _greens_from_args(args)
+    cfg = load_config(args.config)
+    _, problem = _problem(cfg, "greens")
+    op = build_operator(cfg)
+    if not problem.get("conjugate", False):
+        _, _, g = _greens(op)
+    elif op.is_basic():
+        g = conjugate_greens_closed_form(op.a, op.b, op.nu)
+    else:
+        raise ConfigError("problem.conjugate", "requires p == 1 and q == 0")
     a = g.grid.base
     rows = [(t, _fmt(a + t), s, _fmt(a + s), _fmt(g.value(t, s)), g.branch_of(t, s))
             for t in g.grid.offsets() for s in g.rows.offsets()]
@@ -394,9 +367,7 @@ def _verify_checks(cfg: dict):
     else:
         if not op.is_basic() or op.N != 2:
             raise ConfigError("problem", "greens verification needs p == 1, q == 0, nu in (1,2)")
-        spec = BoundarySpec.conjugate()
-        basis = _greens_basis(op)
-        built = build_greens(op, spec, basis)
+        spec, basis, built = _greens(op)
         x = greens_solve(built, h)
         x_bvp = solve_bvp(op, h, spec, basis)
         dense_sys = assemble_ivp(op, h, InitialConditions.zeros(op.N))
@@ -434,8 +405,8 @@ def cmd_verify(args) -> int:
     return 10 + failed
 
 
-def _add_config(p, required=True):
-    p.add_argument("--config", required=required, help="path to a JSON problem config")
+def _add_config(p):
+    p.add_argument("--config", required=True, help="path to a JSON problem config")
 
 
 def _add_out(p):
@@ -464,19 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("cauchy", cmd_cauchy, "tabulate the Cauchy function columns"),
         ("solve-ivp", cmd_solve, "solve an initial value problem"),
         ("solve-bvp", cmd_solve, "solve an (N,1) boundary value problem"),
+        ("greens", cmd_greens, "tabulate a Green's function"),
     ):
         p = sub.add_parser(name, help=text)
         _add_config(p)
         _add_out(p)
         p.set_defaults(func=func)
-
-    p = sub.add_parser("greens", help="tabulate a Green's function")
-    _add_config(p, required=False)
-    p.add_argument("--conjugate", action="store_true",
-                   help="closed-form (2,1) conjugate kernel; pass a=, b=, nu=")
-    p.add_argument("params", nargs="*", help="key=value parameters (a=, b=, nu=)")
-    _add_out(p)
-    p.set_defaults(func=cmd_greens)
 
     p = sub.add_parser("verify", help="run oracle cross-checks on a config")
     _add_config(p)

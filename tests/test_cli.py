@@ -258,10 +258,15 @@ class TestSolveBvp:
         assert lines[0].startswith("error: ") and "condition number" in lines[0]
 
 
+def conjugate_config(**overrides):
+    """A greens config that asks for the closed-form conjugate G."""
+    return ivp_config(problem={"type": "greens", "conjugate": True}, **overrides)
+
+
 class TestGreens:
     def test_conjugate_closed_form_contains_spot_value(self, tmp_path):
         out = tmp_path / "g.csv"
-        assert main(["greens", "--conjugate", "a=0", "b=4", "nu=1.5",
+        assert main(["greens", "--config", write_config(tmp_path, conjugate_config(b_offset=4)),
                      "--out", str(out)]) == 0
         _, rows = read_csv(str(out))
         cells = {(int(r[0]), int(r[2])): (float(r[4]), r[5]) for r in rows}
@@ -270,11 +275,13 @@ class TestGreens:
         assert branch == "u"
 
     def test_degenerate_order_exits_two(self, tmp_path):
-        assert main(["greens", "--conjugate", "a=0", "b=3",
-                     "nu=1.0000000000001"]) == 2
+        cfg = conjugate_config(b_offset=3, nu=1.0000000000001)
+        assert main(["greens", "--config", write_config(tmp_path, cfg)]) == 2
 
-    def test_missing_parameters_is_config_error(self):
-        assert main(["greens", "--conjugate", "a=0", "b=4"]) == 1
+    def test_missing_parameters_is_config_error(self, tmp_path, capsys):
+        cfg = {k: v for k, v in conjugate_config(b_offset=4).items() if k != "nu"}
+        assert main(["greens", "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == "error: config field 'nu': missing\n"
 
     def test_config_gives_the_g_that_verify_checks(self, tmp_path):
         cfg = {"a": 0, "b_offset": 12, "nu": 1.5, "p": 1, "q": 0, "h": 1,
@@ -595,39 +602,31 @@ GREENS_NU_2_5 = {"a": 0.0, "b_offset": 8, "nu": 2.5, "p": 1.0, "q": 0.0, "h": 1.
                  "problem": {"type": "greens", "conjugate": True}}
 
 
+# Each row's message names a config field exactly when `named` does.
 @pytest.mark.parametrize("argv, code, named", [
-    pytest.param(["greens", "--conjugate", "a=0", "b=4.5", "nu=1.5"], 1, "b - a", id="b-off-grid"),
-    pytest.param(["greens", "--conjugate", "a=0", "b=2", "nu=1.5"], 1, "b - a", id="b-too-short"),
-    pytest.param(["greens", "--conjugate", "a=0", "b=4", "nu=2.5"], 1, "nu", id="nu-2.5"),
-    pytest.param(["greens", "--conjugate", "a=0", "b=4", "nu=nan"], 1, "'nu'", id="nu-nan"),
-    pytest.param(["greens", "--conjugate", "a=nan", "b=4", "nu=1.5"], 1, "'a'", id="a-nan"),
-    pytest.param(["greens", "--conjugate", "a=0", "b=inf", "nu=1.5"], 1, "'b'", id="b-inf"),
+    pytest.param(["greens", "--config", "{greens_b_2}"], 1,
+                 "config field 'b_offset': must be at least N+1 = 3", id="b-too-short"),
     pytest.param(["greens", "--config", "{greens_nu_2_5}"], 1, "nu", id="config-nu-2.5"),
     pytest.param(["monomial", "--nu", "nan"], 1, "'--nu'", id="monomial-nu-nan"),
     pytest.param(["monomial", "--nu", "1.5", "--a", "inf"], 1, "'--a'", id="monomial-a-inf"),
     pytest.param(["monomial", "--nu", "1.5", "--out", "{missing}"], 1, "{missing}",
                  id="out-unwritable"),
     pytest.param(["verify", "--config", "{missing}"], 1, "'--config'", id="config-unreadable"),
-    pytest.param(["greens"], 1, "'--conjugate'", id="greens-no-source"),
+    pytest.param(["greens"], 1, "required: --config", id="greens-no-source"),
+    pytest.param(["greens", "--conjugate", "a=0", "b=10", "nu=1.5"], 1, "required: --config",
+                 id="greens-key-value-form"),
     pytest.param(["monomial", "--nu", "1.5", "--hi", "x"], 1, "argument --hi: invalid int",
                  id="usage-hi-not-an-int"),
     pytest.param(["verify"], 1, "required: --config", id="usage-verify-without-config"),
     pytest.param(["monomial", "--nu", "-1e308"], 1, "argument --nu: expected one argument",
                  id="usage-nu-read-as-an-option"),
-    pytest.param(["greens", "--conjugate", "a=0", "b=5", "nu=1.5", "junk", "c=3"], 1, "'junk'",
-                 id="greens-word-without-equals"),
-    pytest.param(["greens", "--conjugate", "a=0", "b=5", "nu=1.5", "c=3"], 1, "'c=3'",
-                 id="greens-unknown-key"),
-    pytest.param(["greens", "--conjugate", "a=0", "b=5", "nu=1.5", "a=1"], 1, "'a=1'",
-                 id="greens-key-twice"),
-    pytest.param(["greens", "--config", "{greens_1_5}", "nu=1.5"], 1, "'nu=1.5'",
-                 id="greens-params-with-config"),
-    pytest.param(["greens", "--config", "{greens_p_2}", "--conjugate"], 1, "'--conjugate'",
-                 id="greens-conjugate-with-config"),
-    pytest.param(["greens", "--conjugate", "a=0", "b=3", "nu=1.0000000000001"], 2, "vanishes",
+    pytest.param(["greens", "--config", "{greens_1_5}", "nu=1.5"], 1,
+                 "unrecognized arguments: nu=1.5", id="greens-params-with-config"),
+    pytest.param(["greens", "--config", "{greens_p_2}", "--conjugate"], 1,
+                 "unrecognized arguments: --conjugate", id="greens-conjugate-with-config"),
+    pytest.param(["greens", "--config", "{greens_degenerate}"], 2, "vanishes",
                  id="degenerate-exits-two"),
-    pytest.param(["greens", "--conjugate", "a=1e17", "b=100000000000000016", "nu=1.5"], 1,
-                 "a = 1e+17", id="a-beyond-2**53"),
+    pytest.param(["greens", "--config", "{greens_a_1e17}"], 1, "a = 1e+17", id="a-beyond-2**53"),
     pytest.param(["monomial", "--nu", "1.5", "--a", "1e17", "--hi", "3"], 1, "a = 1e+17",
                  id="monomial-a-beyond-2**53"),
 ])
@@ -636,12 +635,18 @@ def test_cli_returns_its_documented_code_and_never_raises(tmp_path, capsys, argv
              "greens_1_5": write_config(tmp_path, dict(GREENS_NU_2_5, nu=1.5), "g15.json"),
              "greens_p_2": write_config(tmp_path, dict(GREENS_NU_2_5, nu=1.5, p=2.0,
                                                        problem={"type": "greens"}), "gp2.json"),
+             "greens_b_2": write_config(tmp_path, dict(GREENS_NU_2_5, nu=1.5, b_offset=2),
+                                        "gb2.json"),
+             "greens_degenerate": write_config(tmp_path, dict(GREENS_NU_2_5, b_offset=3,
+                                                              nu=1.0000000000001), "gdeg.json"),
+             "greens_a_1e17": write_config(tmp_path, dict(GREENS_NU_2_5, a=1e17, b_offset=16,
+                                                          nu=1.5), "ga.json"),
              "missing": str(tmp_path / "missing" / "x.csv")}
     assert main([arg.format(**paths) for arg in argv]) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and named.format(**paths) in err
-    assert "config field" not in err  # no row here names a config field
+    assert ("config field" in err) == ("config field" in named)
 
 
 CONJUGATE_BVP = {"type": "bvp", "alpha": [[1, 0, 0], [0, 1, 0]], "A": [0, 0], "beta": [1, 0, 0],
@@ -882,23 +887,25 @@ def test_python_dash_m_runs_the_cli():
     assert "verify" in done.stdout
 
 
-def test_problem_too_big_for_memory_exits_one(monkeypatch, capsys):
-    # b = 1e12 asks numpy for terabytes; raise what it raises instead of allocating
+def test_problem_too_big_for_memory_exits_one(tmp_path, monkeypatch, capsys):
+    # a config with b_offset = 1e12 asks numpy for terabytes; raise what it raises
+    # instead of allocating
     def too_big(*args):
         raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
     monkeypatch.setattr(cli, "conjugate_greens_closed_form", too_big)
-    assert main(["greens", "--conjugate", "a=0", "b=1e12", "nu=1.5"]) == 1
+    assert main(["greens", "--config", write_config(tmp_path, conjugate_config())]) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.splitlines() == ["error: problem too big for memory: "
                                     "Unable to allocate 7.28 TiB for an array"]
 
 
-def test_closed_stdout_exits_one_without_a_traceback():
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path):
     # about 0.5 MB of CSV, far more than a pipe buffers, so the writer
     # is still writing when the reader goes away
-    argv = [sys.executable, "-m", "nablafrac", "greens", "--conjugate", "a=0", "b=80", "nu=1.5"]
+    config = write_config(tmp_path, conjugate_config(b_offset=80))
+    argv = [sys.executable, "-m", "nablafrac", "greens", "--config", config]
     with subprocess.Popen(argv, env=_module_env(), stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True) as proc:
         assert proc.stdout.readline().startswith("t_offset,")

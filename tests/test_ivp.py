@@ -280,13 +280,15 @@ class TestCauchyFunction:
 
     @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
     def test_constant_coefficients_shift_the_first_column(self, nu):
-        # p and q constant: column s is column N+1 moved up by s-N-1, bit for bit
-        op = FracOperator.constant(0.0, nu, 24, p=1.7, q=-0.4)
-        cf = cauchy_function(op)
-        first = cf.column(op.N + 1).values
-        for s in cf.rows.offsets():
-            col = cf.column(s).values
-            assert col.tobytes() == first[:len(col)].tobytes()
+        # p and q constant: column s is column N+1 moved up by s-N-1, bit for bit;
+        # b = 48 reaches past the first 32-row block of solve_ivp's recursion
+        for b in (24, 48):
+            op = FracOperator.constant(0.0, nu, b, p=1.7, q=-0.4)
+            cf = cauchy_function(op)
+            first = cf.column(op.N + 1).values
+            for s in cf.rows.offsets():
+                col = cf.column(s).values
+                assert col.tobytes() == first[:len(col)].tobytes()
 
     def test_general_p_matches_fractional_integral(self, rng):
         # q = 0: x(t, s) = (integral of 1/p of order nu, based at rho(s))(t)

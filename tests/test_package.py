@@ -1,5 +1,7 @@
+import csv
 import importlib.util
 import inspect
+import io
 import json
 import re
 from pathlib import Path
@@ -28,6 +30,17 @@ def test_readme_config_example_verifies(tmp_path, capsys):
     path.write_text(example.group(1))
     assert cli.main(["verify", "--config", str(path)]) == 0
     assert capsys.readouterr().out.endswith("verify: all checks passed\n")
+
+
+def test_readme_conjugate_example_prints_the_closed_form(tmp_path, capsys):
+    # the README's second JSON config, run as its `greens --config conjugate.json` line runs it
+    example = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)[1]
+    path = tmp_path / "conjugate.json"
+    path.write_text(example)
+    assert cli.main(["greens", "--config", str(path)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    closed = nablafrac.conjugate_greens_closed_form(0.0, 10.0, 1.5)
+    assert [float(row[4]) for row in rows] == closed.G.ravel().tolist()
 
 
 def _tracing():
