@@ -606,6 +606,7 @@ GREENS_NU_2_5 = {"a": 0.0, "b_offset": 8, "nu": 2.5, "p": 1.0, "q": 0.0, "h": 1.
 @pytest.mark.parametrize("argv, code, named", [
     pytest.param(["greens", "--config", "{greens_b_2}"], 1,
                  "config field 'b_offset': must be at least N+1 = 3", id="b-too-short"),
+    pytest.param(["greens", "--config", "{greens_nu_2_5_b_4}"], 1, "nu", id="nu-2.5"),
     pytest.param(["greens", "--config", "{greens_nu_2_5}"], 1, "nu", id="config-nu-2.5"),
     pytest.param(["monomial", "--nu", "nan"], 1, "'--nu'", id="monomial-nu-nan"),
     pytest.param(["monomial", "--nu", "1.5", "--a", "inf"], 1, "'--a'", id="monomial-a-inf"),
@@ -632,6 +633,8 @@ GREENS_NU_2_5 = {"a": 0.0, "b_offset": 8, "nu": 2.5, "p": 1.0, "q": 0.0, "h": 1.
 ])
 def test_cli_returns_its_documented_code_and_never_raises(tmp_path, capsys, argv, code, named):
     paths = {"greens_nu_2_5": write_config(tmp_path, GREENS_NU_2_5),
+             "greens_nu_2_5_b_4": write_config(tmp_path, dict(GREENS_NU_2_5, b_offset=4),
+                                               "g25b4.json"),
              "greens_1_5": write_config(tmp_path, dict(GREENS_NU_2_5, nu=1.5), "g15.json"),
              "greens_p_2": write_config(tmp_path, dict(GREENS_NU_2_5, nu=1.5, p=2.0,
                                                        problem={"type": "greens"}), "gp2.json"),
