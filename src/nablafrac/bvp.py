@@ -100,29 +100,20 @@ def boundary_rows(spec: BoundarySpec, b: int) -> np.ndarray:
     return rows
 
 
-def _require_fit(spec: BoundarySpec, op: FracOperator) -> int:
-    """N, once spec fits op."""
-    if spec.N != op.N:
-        raise ValueError(f"spec has N={spec.N} but operator has N={op.N}")
-    return op.N
-
-
-def _basis_on(basis: Sequence[GridFunction], spec: BoundarySpec, op: FracOperator,
+def _basis_on(basis: Sequence[GridFunction] | None, spec: BoundarySpec, op: FracOperator,
               grid: Grid) -> np.ndarray:
-    """The basis on ``grid``, one row per function, once spec and basis fit op."""
-    n = _require_fit(spec, op)
+    """The basis on ``grid``, one row per function, once spec and basis fit op.  ``None``
+    is ``homogeneous_basis(op)`` on its window [a-N+1, a+N] alone, written down without
+    solving: zero ghosts, then each unit vector of initial data unfolded."""
+    n = op.N
+    if spec.N != n:
+        raise ValueError(f"spec has N={spec.N} but operator has N={n}")
+    if basis is None:
+        return np.array([(0.0,) * (n - 1) + ic_to_values(InitialConditions(e))
+                         for e in np.eye(n + 1)])
     if len(basis) != n + 1:
         raise ValueError(f"need {n + 1} basis functions, got {len(basis)}")
     return np.array([x.values_on(grid) for x in basis])
-
-
-def _numeric_window(spec: BoundarySpec, op: FracOperator) -> np.ndarray:
-    """``homogeneous_basis(op)`` on its window [a-N+1, a+N], one row per
-    function, without solving: zero ghosts, then each unit vector of
-    initial data unfolded."""
-    n = _require_fit(spec, op)
-    return np.array([(0.0,) * (n - 1) + ic_to_values(InitialConditions(e))
-                     for e in np.eye(n + 1)])
 
 
 def assemble_d(basis: Sequence[GridFunction], spec: BoundarySpec,
@@ -133,9 +124,8 @@ def assemble_d(basis: Sequence[GridFunction], spec: BoundarySpec,
 
 def _bordered_solve(op: FracOperator, spec: BoundarySpec,
                     basis: Sequence[GridFunction] | None, h: np.ndarray, values) -> np.ndarray:
-    """x on ``op.grid`` with L x = h on ``op.rows`` and the boundary rows of
-    ``spec`` equal to ``values``, within the span of ``basis`` (``None``:
-    the numeric basis, of which only the window enters).
+    """x on ``op.grid`` with L x = h on ``op.rows`` and the boundary rows of ``spec``
+    equal to ``values``, within the span of ``basis``, whose window alone enters.
 
     ``h`` and ``values`` may hold one column per problem.  Raises
     :class:`NearSingularError` when cond_1 * eps >= 1, and
@@ -144,9 +134,7 @@ def _bordered_solve(op: FracOperator, spec: BoundarySpec,
     n, m = op.N, len(op.grid)
     matrix = np.zeros((m + n + 1, m + n + 1))
     matrix[:2 * n, :2 * n] = np.eye(2 * n)
-    window = (_numeric_window(spec, op) if basis is None
-              else _basis_on(basis, spec, op, Grid(op.a, 1 - n, n)))  # on [a-N+1, a+N]
-    matrix[:2 * n, m:] = -window.T
+    matrix[:2 * n, m:] = -_basis_on(basis, spec, op, Grid(op.a, 1 - n, n)).T  # [a-N+1, a+N]
     matrix[2 * n:3 * n + 1, :m] = boundary_rows(spec, op.b_offset)
     matrix[3 * n + 1:, :m] = apply_array(op, np.eye(m))
     rhs = np.concatenate((np.zeros((2 * n,) + h.shape[1:]), values, h))

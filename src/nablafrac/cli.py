@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from itertools import accumulate
 from typing import Sequence
 
 from .bvp import BoundarySpec, boundary_rows, solve_bvp
@@ -241,9 +242,13 @@ def _write_csv(out: str | None, header: Sequence[str], rows) -> None:
 
 
 def cmd_monomial(args) -> int:
-    _finite("--nu", args.nu)
+    nu = _finite("--nu", args.nu)
     grid = Grid(_finite("--a", args.a), args.lo, args.hi)  # t = a + k must be exact
-    rows = ((k, _fmt(grid.base + k), _fmt(taylor_monomial(k, args.nu))) for k in grid.offsets())
+    m = max(grid.lo, 1)  # from H_nu(a+m) on, taylor_monomial's product runs row to row: O(hi)
+    run = accumulate(range(m, grid.hi), lambda x, j: x * ((nu + j) / j),
+                     initial=taylor_monomial(m, nu))
+    h = (taylor_monomial(k, nu) if k < 1 or nu.is_integer() else next(run) for k in grid.offsets())
+    rows = ((k, _fmt(grid.base + k), _fmt(v)) for k, v in zip(grid.offsets(), h))
     _write_csv(args.out, ("offset", "t", "H"), rows)
     return 0
 
@@ -275,11 +280,11 @@ def cmd_solve(args) -> int:
 
 def _greens(op: FracOperator):
     """The spec, the basis and G of a greens config: the (2,1) conjugate problem over
-    the analytic basis when p == 1 and q == 0, else over the numeric one."""
+    the analytic basis when p == 1 and q == 0, else over the numeric one (None)."""
     if op.N != 2:
         raise ConfigError("problem", "generic greens output needs N == 2 conjugate spec")
     spec = BoundarySpec.conjugate()
-    basis = homogeneous_basis(op, analytic=op.is_basic())
+    basis = homogeneous_basis(op, analytic=True) if op.is_basic() else None
     return spec, basis, build_greens(op, spec, basis)
 
 

@@ -85,18 +85,18 @@ def _grid_offsets(grid: Grid, rows: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_greens(op: FracOperator, spec: BoundarySpec,
-                 basis: Sequence[GridFunction]) -> GreensFunction:
+                 basis: Sequence[GridFunction] | None = None) -> GreensFunction:
     """Construct G for the homogeneous part of ``spec`` over ``basis``.
 
     Column s of G solves L x = e_s with zero boundary values within the
-    span of ``basis``, so one bordered solve with the identity on the
-    equation rows gives every column; u = G - x(t, s), with x the
-    Cauchy function.  The basis's values below a decide G: for the (2,1)
-    conjugate problem with p = 1, q = 0 and b = 40, G over the numeric
-    zero-ghost basis is 33 %, 19 % and 2.9 % of max|G| from the closed
-    form for nu = 1.2, 1.5 and 1.9, and G over the analytic basis is
-    within 5e-14 of it.  Raises :class:`NearSingularError` as
-    ``solve_bvp`` does.
+    span of ``basis`` (by default the numeric one, as in ``solve_bvp``), so
+    one bordered solve with the identity on the equation rows gives every
+    column; u = G - x(t, s), with x the Cauchy function.  The basis's
+    values below a decide G: for the (2,1) conjugate problem with p = 1,
+    q = 0 and b = 40, G over the numeric zero-ghost basis is 33 %, 19 %
+    and 2.9 % of max|G| from the closed form for nu = 1.2, 1.5 and 1.9,
+    and G over the analytic basis is within 5e-14 of it.  Raises
+    :class:`NearSingularError` as ``solve_bvp`` does.
     """
     s = len(op.rows)
     g = _bordered_solve(op, spec, basis, np.eye(s), np.zeros((op.N + 1, s)))

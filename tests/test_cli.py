@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nablafrac import (FracOperator, GreensFunction, Grid, GridFunction, cauchy_function,
-                       conjugate_greens_closed_form, solve_ivp, taylor_monomial)
+from nablafrac import (BoundarySpec, FracOperator, GreensFunction, Grid, GridFunction,
+                       build_greens, cauchy_function, conjugate_greens_closed_form,
+                       homogeneous_basis, solve_ivp, taylor_monomial)
 from nablafrac import cli
 from nablafrac.cli import _fmt, main
 from conftest import mp_solve_bvp, mp_solve_ivp
@@ -88,6 +89,20 @@ class TestMonomial:
                          ("1e308", ["2,2,1e+308", "3,3,inf"])):
             assert main(["monomial", "--nu", nu, "--hi", "3"]) == 0
             assert capsys.readouterr().out.splitlines()[-2:] == last
+
+    @pytest.mark.parametrize("nu", [-0.5, -0.999, 1.5, 2.7, -1.5])
+    def test_fractional_table_is_taylor_monomial_row_by_row(self, capsys, nu):
+        # the table carries one product from row to row, which must be the one
+        # taylor_monomial takes for each row alone
+        assert main(["monomial", f"--nu={nu}", "--lo=-4", "--hi=300", "--a=0.5"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(k) for k, _, _ in rows] == list(range(-4, 301))
+        for k, t, h in rows:
+            assert float(t) == 0.5 + int(k)
+            assert float(h) == taylor_monomial(int(k), nu)
+        assert main(["monomial", f"--nu={nu}", "--lo=120", "--hi=125"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [float(h) for _, _, h in rows] == [taylor_monomial(k, nu) for k in range(120, 126)]
 
     def test_stdout_when_no_out_path(self, capsys):
         assert main(["monomial", "--nu", "0.5", "--hi", "3"]) == 0
@@ -297,8 +312,18 @@ class TestGreens:
         assert max(abs(g - c) for g, c in stated) < 1e-10 * np.max(np.abs(closed.G))
 
     def test_config_with_variable_coefficients(self, tmp_path):
+        # G over the numeric basis, cell for cell, whose window the CLI reads unsolved
         cfg = ivp_config(problem={"type": "greens"}, **VARIABLE_PQ)
-        assert main(["greens", "--config", write_config(tmp_path, cfg)]) == 0
+        out = tmp_path / "g.csv"
+        assert main(["greens", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(str(out))
+        op = cli.build_operator(cfg)
+        g = build_greens(op, BoundarySpec.conjugate(), homogeneous_basis(op))
+        assert [(int(t), int(s)) for t, _, s, _, _, _ in rows] == [
+            (t, s) for t in g.grid.offsets() for s in g.rows.offsets()]
+        for t, _, s, _, value, branch in rows:
+            assert float(value) == g.value(int(t), int(s))
+            assert branch == g.branch_of(int(t), int(s))
 
     @pytest.mark.parametrize("overrides, named", [
         ({"q": 0.5, "problem": {"type": "greens", "conjugate": True}}, "'problem.conjugate'"),

@@ -14,6 +14,7 @@ from nablafrac import (
     OffGridError,
     apply,
     assemble_bvp,
+    assemble_d,
     boundary_rows,
     build_greens,
     compare_greens,
@@ -147,6 +148,21 @@ class TestBuildGreens:
         op, spec, basis = conjugate_setup(0.0, 9, 1.5)
         with pytest.raises(NearSingularError):
             build_greens(op, spec, (basis[0], basis[0], basis[2]))
+
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5])
+    @pytest.mark.parametrize("b", [5, 12, 40])
+    def test_no_basis_is_the_numeric_one_bit_for_bit(self, rng, nu, b):
+        # the numeric basis's window is written down, not solved for, and the
+        # bordered solve reads only that window
+        op = random_operator(rng, 0.0, nu, b)
+        n = op.N
+        spec = BoundarySpec(tuple(tuple(np.eye(n + 1)[i]) for i in range(n)), (0.0,) * n,
+                            tuple(np.eye(n + 1)[0]), 0.0)
+        numeric, default = build_greens(op, spec, homogeneous_basis(op)), build_greens(op, spec)
+        assert numeric.G.tobytes() == default.G.tobytes()
+        assert numeric.u.tobytes() == default.u.tobytes()
+        with pytest.raises(ValueError):  # D needs the basis on the whole grid
+            assemble_d(None, spec, op)
 
 
 class TestAgainst50Digits:
