@@ -104,11 +104,13 @@ def _basis_on(basis: Sequence[GridFunction] | None, spec: BoundarySpec, op: Frac
               grid: Grid) -> np.ndarray:
     """The basis on ``grid``, one row per function, once spec and basis fit op.  ``None``
     is ``homogeneous_basis(op)`` on its window [a-N+1, a+N] alone, written down without
-    solving: zero ghosts, then each unit vector of initial data unfolded."""
+    solving (zero ghosts, then each unit initial vector unfolded), and refused elsewhere."""
     n = op.N
     if spec.N != n:
         raise ValueError(f"spec has N={spec.N} but operator has N={n}")
     if basis is None:
+        if grid != Grid(op.a, 1 - n, n):
+            raise ValueError("basis None covers only [a-N+1, a+N]; pass homogeneous_basis(op)")
         return np.array([(0.0,) * (n - 1) + ic_to_values(InitialConditions(e))
                          for e in np.eye(n + 1)])
     if len(basis) != n + 1:

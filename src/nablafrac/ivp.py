@@ -9,9 +9,9 @@ still row by row in order, still O(b^2), with the history before each
 32-row block added once per block.  When q is identically 0 it needs no
 rows at all: p times the Caputo value is a running sum of h, and x is
 the order-nu fractional sum of that sum over p (``frac_sum``);
-:func:`cauchy_function` still rebuilds each row from scalar monomials and
-stores x(t, s) as one (t, s) array, so :func:`variation_of_constants` is
-one matrix-vector product.
+:func:`cauchy_function` takes each nabla^N x(u) once per column but still
+sums each row from scalar monomials, and stores x(t, s) as one (t, s)
+array, so :func:`variation_of_constants` is one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -63,22 +63,6 @@ def ic_to_values(ic: InitialConditions) -> tuple[float, ...]:
 def _nabla_pow(xs: list[float], lo: int, n: int, t: int) -> float:
     """nabla^n of the offset-indexed values xs at offset t."""
     return sum((-1) ** i * comb(n, i) * xs[t - i - lo] for i in range(n + 1))
-
-
-def _caputo_at(xs: list[float], lo: int, base: int, nu: float, n: int, t: int) -> float:
-    acc = 0.0
-    for s in range(base + 1, t + 1):
-        acc += taylor_monomial(t - s + 1, n - nu - 1.0) * _nabla_pow(xs, lo, n, s)
-    return acc
-
-
-def _row_value(op: FracOperator, xs: list[float], lo: int, base: int, t: int) -> float:
-    """(L_base x)(t) from the current values, p and q anchored at op.a."""
-    n = op.N
-    cap_t = _caputo_at(xs, lo, base, op.nu, n, t)
-    cap_p = _caputo_at(xs, lo, base, op.nu, n, t - 1)
-    return (op.p.at(t) * cap_t - op.p.at(t - 1) * cap_p
-            + op.q.at(t) * xs[t - 1 - lo])
 
 
 def solve_ivp(op: FracOperator, h: GridFunction, ic: InitialConditions) -> GridFunction:
@@ -181,19 +165,30 @@ def cauchy_function(op: FracOperator) -> CauchyFunction:
 
     For each s the column solves the impulse IVP based at rho(s): zero
     values on [rho(s)-N+1, rho(s)], x(s,s) = 1/p(s) from the nabla^N
-    condition, then the forward recursion of the homogeneous row from
-    t = s+1 on (the row is already well defined there given the pinned
-    lower values).
+    condition, then the homogeneous row from t = s+1 on.  The column keeps
+    nabla^N x(u), which no later row changes, once x(u) is final; row t adds
+    the partial nabla^N x(t), with x(t) still 0, and one scalar
+    ``taylor_monomial`` per term: O(b^4).
     """
     n = op.N
     b = op.b_offset
+    order = n - op.nu - 1.0
     values = np.zeros((len(op.grid), len(op.rows)))
     for s in op.rows.offsets():
         lo = s - n
         xs = [0.0] * (b - lo + 1)
         xs[s - lo] = 1.0 / op.p.at(s)
+        nab = [_nabla_pow(xs, lo, n, s)]  # nabla^N x(u) for u = s..t-1, each taken once
         for t in range(s + 1, b + 1):
-            xs[t - lo] = -_row_value(op, xs, lo, s - 1, t) / op.p.at(t)
+            cap_t = cap_p = 0.0  # the Caputo values at t and t-1, summed from u = s
+            for k, d in zip(range(t - s + 1, 1, -1), nab):  # k = t-u+1
+                cap_t += taylor_monomial(k, order) * d
+            cap_t += taylor_monomial(1, order) * _nabla_pow(xs, lo, n, t)  # x(t) is still 0
+            for k, d in zip(range(t - s, 0, -1), nab):
+                cap_p += taylor_monomial(k, order) * d
+            row = op.p.at(t) * cap_t - op.p.at(t - 1) * cap_p + op.q.at(t) * xs[t - 1 - lo]
+            xs[t - lo] = -row / op.p.at(t)
+            nab.append(_nabla_pow(xs, lo, n, t))
         values[s - 1:, s - n - 1] = xs
     return CauchyFunction(op.grid, op.rows, require_finite(op.grid, values))
 

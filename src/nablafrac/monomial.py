@@ -64,6 +64,8 @@ def kernel_weights(m: int, nu: float) -> np.ndarray:
     """
     if not nu > -1.0:
         raise ValueError(f"kernel weights need an order above -1, got {nu}")
+    if m < 0:
+        raise ValueError(f"kernel weights need m >= 0, got m = {m}")
     j = np.arange(1.0, m)
     out = np.empty(m + 1)
     out[0] = 1.0 if nu == 0.0 else 0.0

@@ -161,8 +161,8 @@ class TestBuildGreens:
         numeric, default = build_greens(op, spec, homogeneous_basis(op)), build_greens(op, spec)
         assert numeric.G.tobytes() == default.G.tobytes()
         assert numeric.u.tobytes() == default.u.tobytes()
-        with pytest.raises(ValueError):  # D needs the basis on the whole grid
-            assemble_d(None, spec, op)
+        with pytest.raises(ValueError, match=r"basis None .* pass homogeneous_basis\(op\)"):
+            assemble_d(None, spec, op)  # D needs the basis on the whole grid
 
 
 class TestAgainst50Digits:

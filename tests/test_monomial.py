@@ -136,3 +136,8 @@ class TestKernelWeights:
             kernel_weights(5, -1.0)
         with pytest.raises(ValueError):
             kernel_weights(5, -1.5)
+
+    @pytest.mark.parametrize("m", [-1, -5])
+    def test_negative_lengths_rejected(self, m):
+        with pytest.raises(ValueError, match=f"m >= 0, got m = {m}"):
+            kernel_weights(m, 0.5)
