@@ -23,7 +23,7 @@ import sys
 from itertools import accumulate
 from typing import Sequence
 
-from .bvp import BoundarySpec, boundary_rows, solve_bvp
+from .bvp import BoundarySpec, solve_bvp
 from .errors import (DegenerateDenominatorError, NearSingularError, NonFiniteError,
                      SingularSystemError)
 from .fraccalc import fractional_order_n
@@ -32,7 +32,7 @@ from .ivp import InitialConditions, cauchy_function, homogeneous_basis, solve_iv
 from .greens import build_greens, compare_greens, conjugate_greens_closed_form, greens_solve
 from .monomial import taylor_monomial
 from .operator import FracOperator, GhostClosure
-from .oracle import assemble_bvp, assemble_ivp, dense_solve, probe_equation_rows, residual
+from .oracle import assemble_bvp, assemble_ivp, dense_solve, probe_equation_rows
 
 import numpy as np
 
@@ -310,20 +310,13 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den else math.inf if num else 0.0
 
 
-def _scaled(res: float, matrix: np.ndarray, x: np.ndarray, rhs) -> tuple[float, str]:
-    """res / (||matrix|| ||x|| + ||rhs||) in the inf-norm, then a report of both;
-    ||matrix|| is its largest absolute row sum, x covers its columns and rhs its rows."""
-    size = np.abs(matrix).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
+def _scaled(rows: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> tuple[float, str]:
+    """||rows x - rhs|| / (||rows|| ||x|| + ||rhs||) in the inf-norm, then a report of
+    both; ||rows|| is its largest absolute row sum."""
+    res = float(np.max(np.abs(rows @ x - rhs)))
+    size = np.abs(rows).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
     scaled = _ratio(res, float(size))
     return scaled, f"max residual {res:.3e}, scaled {scaled:.3e}"
-
-
-def _boundary_residual(x: GridFunction, spec: BoundarySpec, op: FracOperator) -> tuple[float, str]:
-    """||Bx - c||, scaled, with B = boundary_rows and c the boundary values."""
-    rows = boundary_rows(spec, op.b_offset)
-    xs = x.values_on(op.grid)
-    gap = float(np.max(np.abs(rows @ xs - spec.values)))
-    return _scaled(gap, rows, xs, spec.values)
 
 
 def _relative(gap: float, ref: np.ndarray, name: str = "x") -> tuple[float, str]:
@@ -332,31 +325,20 @@ def _relative(gap: float, ref: np.ndarray, name: str = "x") -> tuple[float, str]
     return rel, f"max gap {gap:.3e}, over max|{name}| {rel:.3e}"
 
 
-def _relative_gap(x: GridFunction, ref: GridFunction) -> tuple[float, str]:
-    """max|x - ref| over max|ref|, then a report of it and of max|x - ref|."""
-    return _relative(float(np.max(np.abs(x.values - ref.values))), ref.values)
-
-
-def _oracle_gap(x: GridFunction, dense_sys) -> tuple[float, str, float]:
-    """_relative_gap from the dense oracle's answer, with the oracle's cond_1; that
-    answer may be off by about cond_1 * eps of max|x|, the check's allowance."""
-    ref = dense_solve(dense_sys)
-    rel, report = _relative_gap(x, ref)
-    return rel, f"{report}, oracle cond1 {ref.cond:.3e}", ref.cond * np.finfo(float).eps
-
-
 def _verify_checks(cfg: dict):
     """Yield (name, measured, report, allowance) tuples.
 
-    The verdict reads ``measured``: the equation and boundary residuals
-    are scaled by ||L|| ||x|| + ||h|| and ||B|| ||x|| + ||c||, with L
-    the oracle's equation rows, and the agreement checks measure their
-    gap relative to max|x| (max|G| for the closed form) of the reference
-    answer; ``report`` also gives the absolute value.  A check passes
-    when ``measured`` is at most the larger of DEFAULT_TOL and its
-    allowance: the oracle's cond_1 * eps for the oracle agreement
-    checks, 0 for the others.  The problem is built and solved before
-    the first check, so that a refused solve prints no check line.
+    The residuals read the config's one dense oracle system (the BVP one,
+    with _greens's spec, for a greens config), not the solvers' rows:
+    ||Lx - h|| and ||Bx - c|| over its equation rows L and side rows B,
+    scaled by ||L|| ||x|| + ||h|| and ||B|| ||x|| + ||c||.  The agreement
+    checks measure their gap relative to max|x| (max|G| for the closed
+    form) of the reference answer; ``report`` also gives the absolute
+    value.  A check passes when ``measured`` is at most the larger of
+    DEFAULT_TOL and its allowance: the oracle's cond_1 * eps for the
+    oracle agreement checks, 0 for the others.  The problem is built and
+    solved before the first check, so that a refused solve prints no
+    check line.
     """
     op = build_operator(cfg)
     h = build_forcing(cfg, op)
@@ -365,34 +347,39 @@ def _verify_checks(cfg: dict):
         ic = build_initial_conditions(problem, op)
         x = solve_ivp(op, h, ic)
         dense_sys = assemble_ivp(op, h, ic)
-    elif kind == "bvp":
-        spec = build_boundary_spec(problem, op)
-        x = solve_bvp(op, h, spec)
-        dense_sys = assemble_bvp(op, h, spec, GhostClosure.zero())
     else:
-        if not op.is_basic() or op.N != 2:
+        if kind == "bvp":
+            spec = build_boundary_spec(problem, op)
+            x = solve_bvp(op, h, spec)
+        elif not op.is_basic() or op.N != 2:
             raise ConfigError("problem", "greens verification needs p == 1, q == 0, nu in (1,2)")
-        spec, basis, built = _greens(op)
-        x = greens_solve(built, h)
-        x_bvp = solve_bvp(op, h, spec, basis)
-        dense_sys = assemble_ivp(op, h, InitialConditions.zeros(op.N))
-    eq_rows = dense_sys.matrix[2 * op.N:]
+        else:
+            spec, basis, built = _greens(op)
+            x = greens_solve(built, h)
+            x_bvp = solve_bvp(op, h, spec, basis)
+        dense_sys = assemble_bvp(op, h, spec, GhostClosure.zero())
+    # the oracle's rows: N-1 ghost rows, the N+1 side rows, then the equation rows
+    rows, rhs, xs = dense_sys.matrix, dense_sys.rhs, x.values
+    side, eq = slice(op.N - 1, 2 * op.N), slice(2 * op.N, None)
 
-    probe_gap = float(np.max(np.abs(probe_equation_rows(op) - eq_rows)))
+    probe_gap = float(np.max(np.abs(probe_equation_rows(op) - rows[eq])))
     yield "probe-vs-symbolic-rows", probe_gap, f"max residual {probe_gap:.3e}", 0.0
     if kind == "greens":
         closed = conjugate_greens_closed_form(op.a, op.b, op.nu)
         gap = compare_greens(built, closed)
         stated = closed.G[closed.branch != "u*"]  # the cells compare_greens reads
         yield "greens-closed-form-agreement", *_relative(gap, stated, "G"), 0.0
-    res = residual(op, x, h)
-    yield f"{kind}-equation-residual", *_scaled(res, eq_rows, x.values, h.values), 0.0
+    yield f"{kind}-equation-residual", *_scaled(rows[eq], xs, rhs[eq]), 0.0
     if kind != "ivp":
-        yield f"{kind}-boundary-residual", *_boundary_residual(x, spec, op), 0.0
+        yield f"{kind}-boundary-residual", *_scaled(rows[side], xs, rhs[side]), 0.0
+    ref = x_bvp if kind == "greens" else dense_solve(dense_sys)
+    rel, report = _relative(float(np.max(np.abs(xs - ref.values))), ref.values)
     if kind == "greens":
-        yield "greens-vs-bvp-agreement", *_relative_gap(x, x_bvp), 0.0
+        yield "greens-vs-bvp-agreement", rel, report, 0.0
     else:
-        yield f"{kind}-oracle-agreement", *_oracle_gap(x, dense_sys)
+        # the oracle's answer may be off by about cond_1 * eps of max|x|, the allowance
+        yield (f"{kind}-oracle-agreement", rel, f"{report}, oracle cond1 {ref.cond:.3e}",
+               ref.cond * np.finfo(float).eps)
 
 
 def cmd_verify(args) -> int:

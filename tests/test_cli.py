@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from nablafrac import (BoundarySpec, FracOperator, GreensFunction, Grid, GridFunction,
                        build_greens, cauchy_function, conjugate_greens_closed_form,
                        homogeneous_basis, solve_ivp, taylor_monomial)
-from nablafrac import cli
+from nablafrac import bvp, cli
 from nablafrac.cli import _fmt, main
 from conftest import mp_solve_bvp, mp_solve_ivp
 
@@ -387,19 +387,26 @@ class TestVerify:
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 1
         assert "check" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("problem, names", [
-        ({"type": "ivp", "A": [0.1, -0.2, 0.3]},
+    BVP_CHECKS = ["probe-vs-symbolic-rows", "bvp-equation-residual", "bvp-boundary-residual",
+                  "bvp-oracle-agreement"]
+
+    @pytest.mark.parametrize("nu, problem, names", [
+        (1.5, {"type": "ivp", "A": [0.1, -0.2, 0.3]},
          ["probe-vs-symbolic-rows", "ivp-equation-residual", "ivp-oracle-agreement"]),
-        ({"type": "bvp", "alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "A": [0.2, -0.1],
-          "beta": [1.0, 0.0, 0.0], "B": 0.5},
-         ["probe-vs-symbolic-rows", "bvp-equation-residual", "bvp-boundary-residual",
-          "bvp-oracle-agreement"]),
-        ({"type": "greens"},
+        (1.5, {"type": "bvp", "alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "A": [0.2, -0.1],
+               "beta": [1.0, 0.0, 0.0], "B": 0.5}, BVP_CHECKS),
+        # the oracle's side rows start at row N-1, so N = 1 and N = 3 read other slices
+        (0.5, {"type": "bvp", "alpha": [[1.0, 0.0]], "A": [0.2], "beta": [1.0, 0.0], "B": 0.5},
+         BVP_CHECKS),
+        (2.5, {"type": "bvp", "alpha": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                         [0.0, 0.0, 1.0, 0.0]],
+               "A": [0.2, -0.1, 0.3], "beta": [1.0, 0.0, 0.0, 0.0], "B": 0.5}, BVP_CHECKS),
+        (1.5, {"type": "greens"},
          ["probe-vs-symbolic-rows", "greens-closed-form-agreement",
           "greens-equation-residual", "greens-boundary-residual", "greens-vs-bvp-agreement"]),
-    ])
-    def test_check_names_and_order(self, tmp_path, capsys, problem, names):
-        cfg = ivp_config(problem=problem)
+    ], ids=["ivp", "bvp", "bvp-N1", "bvp-N3", "greens"])
+    def test_check_names_and_order(self, tmp_path, capsys, nu, problem, names):
+        cfg = ivp_config(nu=nu, problem=problem)
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("check ")]
         assert [ln.split(": ")[0] for ln in lines] == [f"check {k}" for k in range(len(names))]
@@ -494,6 +501,25 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "check 2: bvp-boundary-residual" in out and "FAIL" in out.splitlines()[2]
         assert "check 3: bvp-oracle-agreement" in out and "FAIL" in out.splitlines()[3]
+
+    def test_boundary_residual_reads_the_oracles_own_rows(self, tmp_path, monkeypatch, capsys):
+        # a right boundary row that also reads x(b-1) by 1e-3, in the function the
+        # bordered solve reads: a check judged by that same row would pass, so only
+        # the oracle's own side rows make the boundary check (2) fail
+        rows_of = bvp.boundary_rows
+
+        def skewed(spec, b):
+            rows = rows_of(spec, b)
+            rows[-1, -2] += 1e-3
+            return rows
+
+        monkeypatch.setattr(bvp, "boundary_rows", skewed)
+        monkeypatch.setattr(cli, "boundary_rows", skewed, raising=False)
+        cfg = ivp_config(problem={"type": "bvp", "alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                                  "A": [0.2, -0.1], "beta": [1.0, 0.0, 0.0], "B": 0.5})
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 12
+        line = capsys.readouterr().out.splitlines()[2]
+        assert line.startswith("check 2: bvp-boundary-residual") and line.endswith("FAIL")
 
     def test_zero_answer_has_zero_relative_gap(self, tmp_path, capsys):
         assert main(["verify", "--config", write_config(tmp_path, ivp_config(h=0.0))]) == 0

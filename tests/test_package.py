@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib.util
 import inspect
@@ -16,6 +17,22 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_every_exported_name_resolves():
     assert [name for name in nablafrac.__all__ if not hasattr(nablafrac, name)] == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names path's imports bind that its code never reads; ``__future__`` binds none."""
+    tree = ast.parse(path.read_text())
+    bound = {alias.asname or alias.name.partition(".")[0]
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names}
+    return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in (ROOT / "src" / "nablafrac").glob("*.py") if path.name != "__init__.py"))
+def test_module_reads_every_name_it_imports(module):
+    # __init__.py imports to re-export, and its __all__ is checked above
+    assert _unused_imports(ROOT / "src" / "nablafrac" / module) == []
 
 
 def test_readme_documents_every_exported_name():
