@@ -1,7 +1,9 @@
 """Command-line surface: JSON problem configs in, CSV tables out.
 
 Subcommands: ``monomial``, ``cauchy``, ``solve-ivp``, ``solve-bvp``,
-``greens``, ``verify``.  Exit codes, none of which ends in a traceback:
+``greens``, ``verify``.  ``greens`` prints the (2,1) conjugate G, the
+closed form when p == 1 and q == 0, else the bordered solve over the
+numeric basis.  Exit codes, none of which ends in a traceback:
 0 success; 1 a usage error, an invalid config, argument or output path
 (every other ``ValueError`` the package raises for its input included), a
 problem too big for memory, or a stdout closed before the output was
@@ -51,7 +53,7 @@ _FIELDS = {
     "ghost": {"mode": ["zero", "explicit"], "values": "numbers"},
     "ivp": {"type": ["ivp"], "A": "numbers", "ghost": "ghost"},
     "bvp": {"type": ["bvp"], "alpha": "matrix", "A": "numbers", "beta": "numbers", "B": "number"},
-    "greens": {"type": ["greens"], "conjugate": "bool"},
+    "greens": {"type": ["greens"]},
 }
 
 
@@ -90,7 +92,6 @@ _TYPES = {
                 lambda v: isinstance(v, list) and all(map(_is_number, v))),
     "matrix": ("a list of lists of finite numbers",
                lambda v: isinstance(v, list) and all(map(_TYPES["numbers"][1], v))),
-    "bool": ("true or false", lambda v: type(v) is bool),
 }
 _ENTRIES = {"numbers": "number", "matrix": "numbers"}  # the type of a list type's entries
 
@@ -278,26 +279,16 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _greens(op: FracOperator):
-    """The spec, the basis and G of a greens config: the (2,1) conjugate problem over
-    the analytic basis when p == 1 and q == 0, else over the numeric one (None)."""
-    if op.N != 2:
-        raise ConfigError("problem", "generic greens output needs N == 2 conjugate spec")
-    spec = BoundarySpec.conjugate()
-    basis = homogeneous_basis(op, analytic=True) if op.is_basic() else None
-    return spec, basis, build_greens(op, spec, basis)
-
-
 def cmd_greens(args) -> int:
     cfg = load_config(args.config)
-    _, problem = _problem(cfg, "greens")
+    _problem(cfg, "greens")
     op = build_operator(cfg)
-    if not problem.get("conjugate", False):
-        _, _, g = _greens(op)
-    elif op.is_basic():
+    if op.N != 2:
+        raise ConfigError("nu", f"the (2,1) conjugate G needs nu in (1, 2), got {op.nu}")
+    if op.is_basic():
         g = conjugate_greens_closed_form(op.a, op.b, op.nu)
     else:
-        raise ConfigError("problem.conjugate", "requires p == 1 and q == 0")
+        g = build_greens(op, BoundarySpec.conjugate())
     a = g.grid.base
     rows = [(t, _fmt(a + t), s, _fmt(a + s), _fmt(g.value(t, s)), g.branch_of(t, s))
             for t in g.grid.offsets() for s in g.rows.offsets()]
@@ -329,7 +320,7 @@ def _verify_checks(cfg: dict):
     """Yield (name, measured, report, allowance) tuples.
 
     The residuals read the config's one dense oracle system (the BVP one,
-    with _greens's spec, for a greens config), not the solvers' rows:
+    with the conjugate spec, for a greens config), not the solvers' rows:
     ||Lx - h|| and ||Bx - c|| over its equation rows L and side rows B,
     scaled by ||L|| ||x|| + ||h|| and ||B|| ||x|| + ||c||.  The agreement
     checks measure their gap relative to max|x| (max|G| for the closed
@@ -354,7 +345,8 @@ def _verify_checks(cfg: dict):
         elif not op.is_basic() or op.N != 2:
             raise ConfigError("problem", "greens verification needs p == 1, q == 0, nu in (1,2)")
         else:
-            spec, basis, built = _greens(op)
+            spec, basis = BoundarySpec.conjugate(), homogeneous_basis(op, analytic=True)
+            built = build_greens(op, spec, basis)
             x = greens_solve(built, h)
             x_bvp = solve_bvp(op, h, spec, basis)
         dense_sys = assemble_bvp(op, h, spec, GhostClosure.zero())

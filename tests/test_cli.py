@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from nablafrac import (BoundarySpec, FracOperator, GreensFunction, Grid, GridFunction,
                        build_greens, cauchy_function, conjugate_greens_closed_form,
                        homogeneous_basis, solve_ivp, taylor_monomial)
-from nablafrac import bvp, cli
+from nablafrac import bvp, cli, greens
 from nablafrac.cli import _fmt, main
 from conftest import mp_solve_bvp, mp_solve_ivp
 
@@ -274,8 +274,8 @@ class TestSolveBvp:
 
 
 def conjugate_config(**overrides):
-    """A greens config that asks for the closed-form conjugate G."""
-    return ivp_config(problem={"type": "greens", "conjugate": True}, **overrides)
+    """A greens config with p == 1 and q == 0, whose G is the closed form."""
+    return ivp_config(problem={"type": "greens"}, **overrides)
 
 
 class TestGreens:
@@ -311,6 +311,24 @@ class TestGreens:
         assert len(stated) == np.count_nonzero(closed.branch != "u*")
         assert max(abs(g - c) for g, c in stated) < 1e-10 * np.max(np.abs(closed.G))
 
+    def test_basic_config_prints_the_closed_form_with_no_cauchy_function(self, tmp_path,
+                                                                         monkeypatch):
+        # p == 1 and q == 0: the closed form, bit for bit, and no bordered solve
+        def no_cauchy(op):
+            raise AssertionError("greens called cauchy_function")
+
+        monkeypatch.setattr(greens, "cauchy_function", no_cauchy)
+        out = tmp_path / "g.csv"
+        assert main(["greens", "--config", write_config(tmp_path, conjugate_config(b_offset=12)),
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(str(out))
+        g = conjugate_greens_closed_form(0.0, 12.0, 1.5)
+        assert [(int(t), int(s)) for t, _, s, _, _, _ in rows] == [
+            (t, s) for t in g.grid.offsets() for s in g.rows.offsets()]
+        assert [(value, branch) for _, _, _, _, value, branch in rows] == [
+            (_fmt(g.value(t, s)), g.branch_of(t, s))
+            for t in g.grid.offsets() for s in g.rows.offsets()]
+
     def test_config_with_variable_coefficients(self, tmp_path):
         # G over the numeric basis, cell for cell, whose window the CLI reads unsolved
         cfg = ivp_config(problem={"type": "greens"}, **VARIABLE_PQ)
@@ -326,8 +344,8 @@ class TestGreens:
             assert branch == g.branch_of(int(t), int(s))
 
     @pytest.mark.parametrize("overrides, named", [
-        ({"q": 0.5, "problem": {"type": "greens", "conjugate": True}}, "'problem.conjugate'"),
-        ({"nu": 2.5, "problem": {"type": "greens"}}, "N == 2"),
+        ({"problem": {"type": "greens", "conjugate": True}}, "'problem.conjugate'"),
+        ({"nu": 2.5, "problem": {"type": "greens"}}, "config field 'nu'"),
         ({"problem": {"type": "greens", "conjugate": "false"}}, "'problem.conjugate'"),
     ])
     def test_config_refusals(self, tmp_path, capsys, overrides, named):
@@ -650,15 +668,17 @@ class TestConfigNumbers:
 
 
 GREENS_NU_2_5 = {"a": 0.0, "b_offset": 8, "nu": 2.5, "p": 1.0, "q": 0.0, "h": 1.0,
-                 "problem": {"type": "greens", "conjugate": True}}
+                 "problem": {"type": "greens"}}
 
 
 # Each row's message names a config field exactly when `named` does.
 @pytest.mark.parametrize("argv, code, named", [
     pytest.param(["greens", "--config", "{greens_b_2}"], 1,
                  "config field 'b_offset': must be at least N+1 = 3", id="b-too-short"),
-    pytest.param(["greens", "--config", "{greens_nu_2_5_b_4}"], 1, "nu", id="nu-2.5"),
-    pytest.param(["greens", "--config", "{greens_nu_2_5}"], 1, "nu", id="config-nu-2.5"),
+    pytest.param(["greens", "--config", "{greens_nu_2_5_b_4}"], 1, "config field 'nu'",
+                 id="nu-2.5"),
+    pytest.param(["greens", "--config", "{greens_nu_2_5}"], 1, "config field 'nu'",
+                 id="config-nu-2.5"),
     pytest.param(["monomial", "--nu", "nan"], 1, "'--nu'", id="monomial-nu-nan"),
     pytest.param(["monomial", "--nu", "1.5", "--a", "inf"], 1, "'--a'", id="monomial-a-inf"),
     pytest.param(["monomial", "--nu", "1.5", "--out", "{missing}"], 1, "{missing}",
@@ -715,7 +735,6 @@ CONJUGATE_BVP = {"type": "bvp", "alpha": [[1, 0, 0], [0, 1, 0]], "A": [0, 0], "b
     ("solve-bvp", CONJUGATE_BVP),
     ("cauchy", {"type": "ivp", "A": [0, 0, 0]}),
     ("greens", {"type": "greens"}),
-    ("greens", {"type": "greens", "conjugate": True}),
 ])
 def test_base_beyond_2_53_exits_one_before_any_output(tmp_path, capsys, command, problem):
     # 1e17 + k is not exact: the points a + 1, ..., a + 10 would merge
@@ -753,13 +772,14 @@ def test_commands_that_read_no_forcing_need_none(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["greens", "verify"])
-def test_every_command_refuses_a_conjugate_that_is_not_a_bool(tmp_path, capsys, command):
-    cfg = ivp_config(problem={"type": "greens", "conjugate": "yes"})
+def test_greens_and_verify_refuse_a_conjugate_key_as_unknown(tmp_path, capsys, command):
+    # the operator alone decides which G greens prints, so no key chooses it
+    cfg = ivp_config(problem={"type": "greens", "conjugate": True})
     assert main([command, "--config", write_config(tmp_path, cfg)]) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.splitlines() == ["error: config field 'problem.conjugate': "
-                                    "expected true or false, got 'yes'"]
+                                    "unknown key; the object takes type"]
 
 
 # Valid configs (b <= 12) for the mutation test, and the solve command of each.
@@ -774,7 +794,7 @@ MUTANT_BASES = {
             "problem": {"type": "bvp", "alpha": [[1.0, 0.5]], "A": [0.25], "beta": [1.0, 0.0],
                         "B": -0.5}},
     "greens": {"a": 0.0, "b_offset": 9, "nu": 1.5, "p": 1, "q": 0, "h": 1.0,
-               "problem": {"type": "greens", "conjugate": False}},
+               "problem": {"type": "greens"}},
 }
 SOLVE_COMMANDS = {"ivp": "solve-ivp", "bvp": "solve-bvp", "greens": "greens"}
 _DELETE, _UNKNOWN_KEY, _HUGE = object(), object(), "<1e400>"  # JSON reads 1e400 as inf

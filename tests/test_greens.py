@@ -56,6 +56,32 @@ class TestClosedForm:
         for s in range(3, 9):
             assert g.value(8, s) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("nu, b", [(1 + 1e-12, 12)] + [
+        (nu, b) for nu in (1 + 1e-9, 1.0001, 1.05, 1.5, 1.95, 2 - 1e-9) for b in (12, 40, 80)])
+    def test_within_5e_14_of_the_exact_g(self, nu, b):
+        # H_nu(a+m, a) -> m as nu -> 1+, so a plain m - H_nu(a+m, a) cancels: it puts
+        # G 2.2e-4 of max|G| off at nu = 1 + 1e-12, b = 12
+        num, den = nu.as_integer_ratio()
+        top, bottom = [0, 1], [1, 1]  # H_nu(a+m, a) = top[m] / bottom[m], exactly
+        for j in range(1, b):
+            top.append(top[-1] * (num + j * den))
+            bottom.append(bottom[-1] * j * den)
+        q = bottom[b]
+        numer = [top[m] * (q // bottom[m]) for m in range(b + 1)]  # H_nu(a+m, a) * q
+
+        def mono(m):
+            return numer[m] if m > 0 else 0
+
+        diff = {t: t * q - mono(t) for t in range(-1, b + 1)}  # (t - H_nu(a+t, a)) q
+        # G = H(t-s+1) - H(b-s+1) diff(t) / diff(b), each cell one exact integer
+        # quotient, rounded once
+        exact = np.array([[(mono(t - s + 1) * diff[b] - mono(b - s + 1) * diff[t])
+                           / (q * diff[b]) for s in range(3, b + 1)] for t in range(-1, b + 1)])
+        g = conjugate_greens_closed_form(0.0, float(b), nu)
+        stated = g.branch != "u*"
+        gap = np.max(np.abs(g.G[stated] - exact[stated]))
+        assert gap <= 5e-14 * np.max(np.abs(exact[stated]))
+
     def test_degenerate_denominator_raises(self):
         # H_nu(3,0) - 3 -> 0 as nu -> 1+, so a barely-fractional order trips the guard
         with pytest.raises(DegenerateDenominatorError):
