@@ -41,6 +41,7 @@ from .greens import (
     build_greens,
     compare_greens,
     conjugate_greens_closed_form,
+    greens_matrix,
     greens_solve,
 )
 from .oracle import (
@@ -85,6 +86,7 @@ __all__ = [
     "dense_solve",
     "frac_integral",
     "fractional_order_n",
+    "greens_matrix",
     "greens_solve",
     "homogeneous_basis",
     "ic_to_values",

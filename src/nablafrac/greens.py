@@ -9,7 +9,8 @@ flags the cells outside both regions ``u*``; comparisons quantify only
 over the stated region.  The t range is extended down to a-N+1 so that
 operator residual checks are possible.  The generic builder takes G from
 the bordered system of :mod:`nablafrac.bvp`, with the identity on its
-equation rows, and u = G - x(t, s); the closed form, the G that the CLI's
+equation rows (``greens_matrix``, O(b^3)), and u = G - x(t, s), whose
+Cauchy function costs O(b^4); the closed form, the G that the CLI's
 ``greens`` prints when p == 1 and q == 0, needs neither solve nor x.
 """
 
@@ -85,22 +86,29 @@ def _grid_offsets(grid: Grid, rows: Grid) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(grid.lo, grid.hi + 1)[:, None], np.arange(rows.lo, rows.hi + 1)[None, :]
 
 
-def build_greens(op: FracOperator, spec: BoundarySpec,
-                 basis: Sequence[GridFunction] | None = None) -> GreensFunction:
-    """Construct G for the homogeneous part of ``spec`` over ``basis``.
+def greens_matrix(op: FracOperator, spec: BoundarySpec,
+                  basis: Sequence[GridFunction] | None = None) -> np.ndarray:
+    """G alone, (t, s)-indexed on ``op.grid`` x ``op.rows``, with no Cauchy function.
 
     Column s of G solves L x = e_s with zero boundary values within the
     span of ``basis`` (by default the numeric one, as in ``solve_bvp``), so
     one bordered solve with the identity on the equation rows gives every
-    column; u = G - x(t, s), with x the Cauchy function.  The basis's
-    values below a decide G: for the (2,1) conjugate problem with p = 1,
-    q = 0 and b = 40, G over the numeric zero-ghost basis is 33 %, 19 %
-    and 2.9 % of max|G| from the closed form for nu = 1.2, 1.5 and 1.9,
-    and G over the analytic basis is within 5e-14 of it.  Raises
-    :class:`NearSingularError` as ``solve_bvp`` does.
+    column, in O(b^3).  The basis's values below a decide G: for the (2,1)
+    conjugate problem with p = 1, q = 0 and b = 40, G over the numeric
+    zero-ghost basis is 33 %, 19 % and 2.9 % of max|G| from the closed
+    form for nu = 1.2, 1.5 and 1.9, and G over the analytic basis is
+    within 5e-14 of it.  Raises :class:`NearSingularError` as
+    ``solve_bvp`` does.
     """
     s = len(op.rows)
-    g = _bordered_solve(op, spec, basis, np.eye(s), np.zeros((op.N + 1, s)))
+    return _bordered_solve(op, spec, basis, np.eye(s), np.zeros((op.N + 1, s)))
+
+
+def build_greens(op: FracOperator, spec: BoundarySpec,
+                 basis: Sequence[GridFunction] | None = None) -> GreensFunction:
+    """G of ``greens_matrix`` and u = G - x(t, s), whose Cauchy function x costs
+    O(b^4): a caller that reads G alone, as ``verify`` does, calls ``greens_matrix``."""
+    g = greens_matrix(op, spec, basis)
     return GreensFunction(op.grid, op.rows, g - cauchy_function(op).values, g)
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from nablafrac import (BoundarySpec, FracOperator, GreensFunction, Grid, GridFunction,
                        build_greens, cauchy_function, conjugate_greens_closed_form,
                        homogeneous_basis, solve_ivp, taylor_monomial)
-from nablafrac import bvp, cli, greens
+from nablafrac import bvp, cli, greens, ivp
 from nablafrac.cli import _fmt, main
 from conftest import mp_solve_bvp, mp_solve_ivp
 
@@ -403,7 +403,19 @@ class TestVerify:
     def test_greens_needs_basic_operator_before_any_check(self, tmp_path, capsys):
         cfg = ivp_config(q=0.5, problem={"type": "greens"})
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 1
-        assert "check" not in capsys.readouterr().out
+        out = capsys.readouterr()
+        assert "check" not in out.out
+        assert out.err == ("error: config field 'problem': greens verification needs "
+                           "p == 1 and q == 0\n")
+
+    def test_greens_order_outside_conjugate_range_before_any_check(self, tmp_path, capsys):
+        # the refusal greens gives for the same file
+        cfg = ivp_config(nu=2.5, problem={"type": "greens"})
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 1
+        out = capsys.readouterr()
+        assert "check" not in out.out
+        assert out.err == ("error: config field 'nu': the (2,1) conjugate G needs nu in "
+                           "(1, 2), got 2.5\n")
 
     BVP_CHECKS = ["probe-vs-symbolic-rows", "bvp-equation-residual", "bvp-boundary-residual",
                   "bvp-oracle-agreement"]
@@ -423,7 +435,14 @@ class TestVerify:
          ["probe-vs-symbolic-rows", "greens-closed-form-agreement",
           "greens-equation-residual", "greens-boundary-residual", "greens-vs-bvp-agreement"]),
     ], ids=["ivp", "bvp", "bvp-N1", "bvp-N3", "greens"])
-    def test_check_names_and_order(self, tmp_path, capsys, nu, problem, names):
+    def test_check_names_and_order(self, tmp_path, monkeypatch, capsys, nu, problem, names):
+        # with no Cauchy function: G is the bordered solve alone, and the O(b^4)
+        # Cauchy function is only for build_greens's u
+        def no_cauchy(op):
+            raise AssertionError("verify called cauchy_function")
+
+        for module in (ivp, greens, cli):
+            monkeypatch.setattr(module, "cauchy_function", no_cauchy)
         cfg = ivp_config(nu=nu, problem=problem)
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("check ")]
