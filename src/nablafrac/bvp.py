@@ -1,10 +1,10 @@
 """(N,1) boundary value problems: the boundary functionals as one matrix
 (:func:`boundary_rows`), the D-matrix (:func:`assemble_d`), and the
-bordered system that ``solve_bvp`` and ``build_greens`` share.  Its
+bordered system that ``solve_bvp`` and ``greens_matrix`` share.  Its
 unknowns are x on [a-N+1, b] and the basis coefficients c; its rows are
 x - sum_k c_k x_k = 0 on the window [a-N+1, a+N], the boundary rows and
-the equation rows.  Only the basis's window enters, so its growth does
-not, and the system is singular exactly when det D = 0."""
+the equation rows, ``op.matrix``.  Only the basis's window enters, so its
+growth does not, and the system is singular exactly when det D = 0."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 from .grid import Grid, GridFunction
 from .ivp import InitialConditions, ic_to_values
 from .linalg import gauss_solve
-from .operator import FracOperator, apply_array, require_finite
+from .operator import FracOperator, require_finite
 
 _RANK_TOL = 1e-10
 
@@ -138,7 +138,7 @@ def _bordered_solve(op: FracOperator, spec: BoundarySpec,
     matrix[:2 * n, :2 * n] = np.eye(2 * n)
     matrix[:2 * n, m:] = -_basis_on(basis, spec, op, Grid(op.a, 1 - n, n)).T  # [a-N+1, a+N]
     matrix[2 * n:3 * n + 1, :m] = boundary_rows(spec, op.b_offset)
-    matrix[3 * n + 1:, :m] = apply_array(op, np.eye(m))
+    matrix[3 * n + 1:, :m] = op.matrix
     rhs = np.concatenate((np.zeros((2 * n,) + h.shape[1:]), values, h))
     return require_finite(op.grid, gauss_solve(matrix, rhs)[:m])
 

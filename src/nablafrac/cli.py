@@ -25,13 +25,13 @@ import sys
 from itertools import accumulate
 from typing import Sequence
 
-from .bvp import BoundarySpec, solve_bvp
+from .bvp import BoundarySpec, _bordered_solve, solve_bvp
 from .errors import (DegenerateDenominatorError, NearSingularError, NonFiniteError,
                      SingularSystemError)
 from .fraccalc import fractional_order_n
 from .grid import Grid, GridFunction, constant_grid_function
 from .ivp import InitialConditions, cauchy_function, homogeneous_basis, solve_ivp
-from .greens import build_greens, conjugate_greens_closed_form, greens_matrix
+from .greens import _BRANCHES, _regions, conjugate_greens_closed_form, greens_matrix
 from .monomial import taylor_monomial
 from .operator import FracOperator, GhostClosure, require_finite
 from .oracle import assemble_bvp, assemble_ivp, dense_solve, probe_equation_rows
@@ -290,12 +290,12 @@ def cmd_greens(args) -> int:
     op = build_operator(cfg)
     _require_conjugate_order(op)
     if op.is_basic():
-        g = conjugate_greens_closed_form(op.a, op.b, op.nu)
+        g = conjugate_greens_closed_form(op.a, op.b, op.nu).G
     else:
-        g = build_greens(op, BoundarySpec.conjugate())
-    a = g.grid.base
-    rows = [(t, _fmt(a + t), s, _fmt(a + s), _fmt(g.value(t, s)), g.branch_of(t, s))
-            for t in g.grid.offsets() for s in g.rows.offsets()]
+        g = greens_matrix(op, BoundarySpec.conjugate())
+    g, branch = g.tolist(), _BRANCHES[_regions(op.grid, op.rows)].tolist()
+    ts, ss = ([(k, _fmt(op.a + k)) for k in r.offsets()] for r in (op.grid, op.rows))  # once each
+    rows = [(*t, *s, _fmt(v), c) for t, gt, bt in zip(ts, g, branch) for s, v, c in zip(ss, gt, bt)]
     _write_csv(args.out, ("t_offset", "t", "s_offset", "s", "G", "branch"), rows)
     return 0
 
@@ -333,8 +333,8 @@ def _verify_checks(cfg: dict):
     DEFAULT_TOL and its allowance: the oracle's cond_1 * eps for the
     oracle agreement checks, 0 for the others.  The problem is built and
     solved before the first check, so that a refused solve prints no
-    check line.  A greens config's G is ``build_greens``'s G over the
-    analytic basis, from ``greens_matrix``, with no Cauchy function.
+    check line.  A greens config's G is ``build_greens``'s G over the analytic
+    basis, with no Cauchy function, from one bordered solve of [h | I].
     """
     op = build_operator(cfg)
     h = build_forcing(cfg, op)
@@ -351,10 +351,12 @@ def _verify_checks(cfg: dict):
             _require_conjugate_order(op)
             if not op.is_basic():
                 raise ConfigError("problem", "greens verification needs p == 1 and q == 0")
-            spec, basis = BoundarySpec.conjugate(), homogeneous_basis(op, analytic=True)
-            g = greens_matrix(op, spec, basis)
-            x = GridFunction(op.grid, require_finite(op.grid, g @ h.values_on(op.rows)))
-            x_bvp = solve_bvp(op, h, spec, basis)
+            spec, s, hs = BoundarySpec.conjugate(), len(op.rows), h.values_on(op.rows)
+            sol = _bordered_solve(op, spec, homogeneous_basis(op, analytic=True),
+                                  np.column_stack((hs, np.eye(s))),
+                                  np.column_stack((spec.values, np.zeros((op.N + 1, s)))))
+            x_bvp, g = GridFunction(op.grid, sol[:, 0]), sol[:, 1:]
+            x = GridFunction(op.grid, require_finite(op.grid, g @ hs))
         dense_sys = assemble_bvp(op, h, spec, GhostClosure.zero())
     # the oracle's rows: N-1 ghost rows, the N+1 side rows, then the equation rows
     rows, rhs, xs = dense_sys.matrix, dense_sys.rhs, x.values
@@ -364,7 +366,7 @@ def _verify_checks(cfg: dict):
     yield "probe-vs-symbolic-rows", probe_gap, f"max residual {probe_gap:.3e}", 0.0
     if kind == "greens":
         closed = conjugate_greens_closed_form(op.a, op.b, op.nu)
-        stated = closed.branch != "u*"  # the cells compare_greens reads
+        stated = _regions(op.grid, op.rows) > 0  # the cells compare_greens reads
         gap = float(np.max(np.abs(g[stated] - closed.G[stated])))
         yield "greens-closed-form-agreement", *_relative(gap, closed.G[stated], "G"), 0.0
     yield f"{kind}-equation-residual", *_scaled(rows[eq], xs, rhs[eq]), 0.0

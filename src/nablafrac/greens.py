@@ -5,9 +5,9 @@ G(t,s) is stated piecewise: u for s > t and v = u + x(t, s) for
 s <= t + 1, with x the Cauchy function.  x(t, s) is 0 for t < s, so v
 equals u on every cell where u is stated, and G is v on every cell.
 ``branch`` names the stated piece of each cell, from N and b alone, and
-flags the cells outside both regions ``u*``; comparisons quantify only
-over the stated region.  The t range is extended down to a-N+1 so that
-operator residual checks are possible.  The generic builder takes G from
+flags the cells outside both regions ``u*``; comparisons read the same
+table as a boolean mask of the stated cells.  The t range reaches down
+to a-N+1 for operator residual checks.  The generic builder takes G from
 the bordered system of :mod:`nablafrac.bvp`, with the identity on its
 equation rows (``greens_matrix``, O(b^3)), and u = G - x(t, s), whose
 Cauchy function costs O(b^4); the closed form, the G that the CLI's
@@ -31,6 +31,7 @@ from .monomial import kernel_weights
 from .operator import FracOperator, require_finite
 
 _DEGENERATE_TOL = 1e-12
+_BRANCHES = np.array(["u*", "u", "v"])  # the branch labels, by _regions's index
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,12 +55,7 @@ class GreensFunction:
 
     @cached_property
     def branch(self) -> np.ndarray:
-        # stated regions: u on 0 <= t <= b-N, s >= t+1 and v on t >= N, s <= t+1
-        n, b = self.rows.lo - 1, self.rows.hi
-        t, s = _grid_offsets(self.grid, self.rows)
-        in_v = (t >= n) & (s <= t + 1)
-        in_u = (t >= 0) & (t <= b - n) & (s >= t + 1)
-        return np.where(in_v, "v", np.where(in_u, "u", "u*"))
+        return _BRANCHES[_regions(self.grid, self.rows)]
 
     def _cell(self, t_offset: int, s_offset: int) -> tuple[int, int]:
         """The array index of (t, s); :class:`OffGridError` outside the kernel's ranges."""
@@ -86,6 +82,14 @@ def _grid_offsets(grid: Grid, rows: Grid) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(grid.lo, grid.hi + 1)[:, None], np.arange(rows.lo, rows.hi + 1)[None, :]
 
 
+def _regions(grid: Grid, rows: Grid) -> np.ndarray:
+    """Each (t, s) cell's stated piece as an index into ``_BRANCHES``: 2 (v) on t >= N,
+    s <= t+1, else 1 (u) on 0 <= t <= b-N, s >= t+1, else 0 (u*); nonzero is stated."""
+    n, b = rows.lo - 1, rows.hi
+    t, s = _grid_offsets(grid, rows)
+    return np.where((t >= n) & (s <= t + 1), 2, (t >= 0) & (t <= b - n) & (s >= t + 1))
+
+
 def greens_matrix(op: FracOperator, spec: BoundarySpec,
                   basis: Sequence[GridFunction] | None = None) -> np.ndarray:
     """G alone, (t, s)-indexed on ``op.grid`` x ``op.rows``, with no Cauchy function.
@@ -107,7 +111,7 @@ def greens_matrix(op: FracOperator, spec: BoundarySpec,
 def build_greens(op: FracOperator, spec: BoundarySpec,
                  basis: Sequence[GridFunction] | None = None) -> GreensFunction:
     """G of ``greens_matrix`` and u = G - x(t, s), whose Cauchy function x costs
-    O(b^4): a caller that reads G alone, as ``verify`` does, calls ``greens_matrix``."""
+    O(b^4): a caller that reads G alone, as ``greens`` does, calls ``greens_matrix``."""
     g = greens_matrix(op, spec, basis)
     return GreensFunction(op.grid, op.rows, g - cauchy_function(op).values, g)
 
@@ -166,5 +170,5 @@ def compare_greens(g1: GreensFunction, g2: GreensFunction) -> float:
         same_base = False
     if not same_base or g1.G.shape != g2.G.shape or g1.grid.lo != g2.grid.lo:
         raise ValueError("Green's functions have different index sets")
-    stated = g1.branch != "u*"  # the same table as g2's: both come from the same ranges
+    stated = _regions(g1.grid, g1.rows) > 0  # g2's too: the same ranges
     return float(np.max(np.abs(g1.G[stated] - g2.G[stated])))

@@ -1,7 +1,7 @@
 """Dense linear algebra: one LAPACK LU that refuses a singular system.
 
 Its one caller is the bordered system of :mod:`nablafrac.bvp`, which
-``solve_bvp`` and ``build_greens`` share.  ``numpy.linalg.solve`` runs
+``solve_bvp`` and ``greens_matrix`` share.  ``numpy.linalg.solve`` runs
 Gaussian elimination with partial pivoting; the refusal rule is the
 dense oracle's, cond_1 * eps >= 1, though the oracle keeps its own copy
 of it so that it stays independent of the solvers.

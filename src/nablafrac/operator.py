@@ -7,13 +7,14 @@ and q on [a+N+1, b], and what construction finds once: ``N = ceil(nu)``,
 equation rows, h, q and the s of the Cauchy and Green's kernels.
 ``apply`` evaluates the operator as a residual on ``rows``; the argument
 must carry the N-1 ghost points below a that the Caputo sum consumes
-(see :class:`GhostClosure`).
+(see :class:`GhostClosure`).  ``matrix`` is L on the identity, built once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +107,13 @@ class FracOperator:
         """Operator with constant coefficients on [a, a + b_offset]."""
         p_grid, q_grid = cls.coefficient_grids(a, nu, b_offset)
         return cls(a, nu, constant_grid_function(p_grid, p), constant_grid_function(q_grid, q))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """L on the identity (:func:`apply_array`), ``rows`` x ``grid``, built once, read-only."""
+        out = apply_array(self, np.eye(len(self.grid)))
+        out.flags.writeable = False
+        return out
 
     def is_basic(self) -> bool:
         """True when p == 1 and q == 0, the case with an analytic basis."""

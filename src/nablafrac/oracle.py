@@ -2,19 +2,20 @@
 IVP or BVP on the extended grid and solve it independently of the
 structured solvers.
 
-The equation rows are one block built symbolically by index: a scalar
-``taylor_monomial`` per kernel offset, broadcast over the lags, times the
-binomial weights of nabla^N.  Neither ``kernel_weights`` nor a solver is
-used, so this is a genuine oracle.  The system is solved by its own
-LAPACK LU (``numpy.linalg.solve``), never through ``linalg.gauss_solve``.
-``probe_equation_rows`` (``apply_array`` on the identity) is a third
-implementation for mutual agreement tests.
+The equation rows are one block built symbolically by index: the kernel
+H_{N-nu-1}(k), k = 0..b, one running product in ``taylor_monomial``'s
+order, broadcast over the lags, times the binomial weights of nabla^N.
+Neither ``kernel_weights`` nor a solver is used, so this is a genuine
+oracle.  The system is solved by its own LAPACK LU (``numpy.linalg.solve``),
+never through ``linalg.gauss_solve``.  ``probe_equation_rows`` is
+``op.matrix``, the rows the solvers read, which these are checked against.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, inf
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import SingularSystemError
 from .grid import Grid, GridFunction
 from .ivp import InitialConditions
 from .monomial import taylor_monomial
-from .operator import FracOperator, GhostClosure, apply, apply_array
+from .operator import FracOperator, GhostClosure, apply
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +69,9 @@ def _system(op: FracOperator, h: GridFunction, closure: GhostClosure,
         for j, (cj, tj) in enumerate(zip(coeffs, points)):
             for i in range(j + 1):
                 row[tj - i - lo] += cj * (-1) ** i * comb(j, i)
-    kernel = np.array([taylor_monomial(k, n - op.nu - 1.0) for k in range(b + 1)])
+    mu = n - op.nu - 1.0  # H(0) by taylor_monomial's rule, H(1..b) by its product, run once
+    kernel = np.array([taylor_monomial(0, mu),
+                       *accumulate(range(1, b), lambda x, j: x * ((mu + j) / j), initial=1.0)])
     padded = np.concatenate((np.zeros(b), kernel))  # padded[b + k] = H(k); 0 for k < 0
     t = np.arange(n + 1, b + 1)
     lag = b + t[:, None] - np.arange(1, b + 1)  # b + (t-1) - s + 1
@@ -141,10 +144,6 @@ def residual(op: FracOperator, x: GridFunction, h: GridFunction) -> float:
 
 
 def probe_equation_rows(op: FracOperator) -> np.ndarray:
-    """Equation-row matrix obtained by applying the operator to unit vectors.
-
-    One :func:`apply_array` call on the identity, one column per unit
-    vector: a third, independent implementation used to cross-check the
-    symbolic expansion in :func:`assemble_ivp` / :func:`assemble_bvp`.
-    """
-    return apply_array(op, np.eye(op.b_offset + op.N))
+    """``op.matrix``, the operator's own equation rows, which the solvers read and
+    which the symbolic rows of :func:`assemble_ivp` / :func:`assemble_bvp` are checked against."""
+    return op.matrix

@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 from nablafrac import (BoundarySpec, FracOperator, GreensFunction, Grid, GridFunction,
                        build_greens, cauchy_function, conjugate_greens_closed_form,
                        homogeneous_basis, solve_ivp, taylor_monomial)
-from nablafrac import bvp, cli, greens, ivp
+from nablafrac import bvp, cli, greens, ivp, linalg
 from nablafrac.cli import _fmt, main
+from nablafrac.operator import apply_array
 from conftest import mp_solve_bvp, mp_solve_ivp
 
 
@@ -343,6 +344,25 @@ class TestGreens:
             assert float(value) == g.value(int(t), int(s))
             assert branch == g.branch_of(int(t), int(s))
 
+    def test_variable_config_prints_greens_matrix_with_no_cauchy_function(self, tmp_path,
+                                                                         monkeypatch):
+        # G alone: build_greens's G, bit for bit, and none of its O(b^4) u
+        cfg = ivp_config(problem={"type": "greens"}, **VARIABLE_PQ)
+        op = cli.build_operator(cfg)
+        g = build_greens(op, BoundarySpec.conjugate())
+
+        def no_cauchy(op):
+            raise AssertionError("greens called cauchy_function")
+
+        for module in (ivp, greens, cli):
+            monkeypatch.setattr(module, "cauchy_function", no_cauchy)
+        out = tmp_path / "g.csv"
+        assert main(["greens", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(str(out))
+        assert [tuple(r) for r in rows] == [
+            (str(t), _fmt(t), str(s), _fmt(s), _fmt(g.value(t, s)), g.branch_of(t, s))
+            for t in g.grid.offsets() for s in g.rows.offsets()]
+
     @pytest.mark.parametrize("overrides, named", [
         ({"problem": {"type": "greens", "conjugate": True}}, "'problem.conjugate'"),
         ({"nu": 2.5, "problem": {"type": "greens"}}, "config field 'nu'"),
@@ -448,6 +468,41 @@ class TestVerify:
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("check ")]
         assert [ln.split(": ")[0] for ln in lines] == [f"check {k}" for k in range(len(names))]
         assert [ln.split(": ")[1] for ln in lines] == names
+
+    @pytest.mark.parametrize("problem", [
+        {"type": "ivp", "A": [0.1, -0.2, 0.3]},
+        {"type": "bvp", "alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "A": [0.2, -0.1],
+         "beta": [1.0, 0.0, 0.0], "B": 0.5},
+        {"type": "greens"},
+    ], ids=["ivp", "bvp", "greens"])
+    def test_applies_the_operator_to_an_identity_once(self, tmp_path, monkeypatch, problem):
+        # the solvers and the probe read one op.matrix
+        identities = []
+
+        def counting(op, x):
+            if x.ndim == 2 and np.array_equal(x, np.eye(len(x))):
+                identities.append(len(x))
+            return apply_array(op, x)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("nablafrac")]:
+            if hasattr(module, "apply_array"):
+                monkeypatch.setattr(module, "apply_array", counting)
+        cfg = ivp_config(q=0.0 if problem["type"] == "greens" else 0.3, problem=problem)
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
+        assert identities == [len(cli.build_operator(cfg).grid)]
+
+    def test_greens_config_factors_its_bordered_system_once(self, tmp_path, monkeypatch):
+        # G and the BVP's answer to h come from one gauss_solve of [h | I]
+        calls = []
+
+        def counting(matrix, rhs):
+            calls.append(np.shape(rhs))
+            return linalg.gauss_solve(matrix, rhs)
+
+        monkeypatch.setattr(bvp, "gauss_solve", counting)
+        cfg = conjugate_config(b_offset=12)
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
+        assert calls == [(14 + 3, 1 + 10)]  # b+N values and N+1 coefficients; h, I on 10 rows
 
     def test_failing_check_exits_ten_plus_its_number(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "DEFAULT_TOL", 1e-300)

@@ -28,6 +28,7 @@ from nablafrac import (
     solve_bvp,
     taylor_monomial,
 )
+from nablafrac.greens import _regions
 from conftest import max_gap, mp_solve_bvp, random_forcing, random_operator
 
 
@@ -147,6 +148,12 @@ class TestBuildGreens:
                   build_greens(variable, three_rows, homogeneous_basis(variable))]:
             assert g.G is g.v
             assert np.array_equal(np.where(g.branch == "v", g.v, g.u), g.G)
+
+    @pytest.mark.parametrize("b", [3, 4, 40])
+    def test_stated_mask_is_where_the_branch_is_not_u_star(self, b):
+        op, spec, basis = conjugate_setup(0.0, b, 1.5)
+        for g in [conjugate_greens_closed_form(0.0, float(b), 1.5), build_greens(op, spec, basis)]:
+            assert np.array_equal(_regions(g.grid, g.rows) > 0, g.branch != "u*")
 
     def test_invariant_under_basis_scaling(self):
         op, spec, basis = conjugate_setup(0.0, 9, 1.5)

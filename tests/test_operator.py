@@ -12,6 +12,7 @@ from nablafrac import (
     apply,
     caputo_difference,
     constant_grid_function,
+    probe_equation_rows,
     taylor_monomial,
 )
 from nablafrac.operator import apply_array
@@ -207,6 +208,20 @@ class TestApply:
             wide = GridFunction(Grid(0.0, -(n - 1), len(xv) - n), xv)
             cut = GridFunction(Grid(0.0, -(n - 1), b), xv[:b + n])
             assert apply(op, wide).values.tobytes() == apply(op, cut).values.tobytes()
+
+
+class TestMatrix:
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
+    def test_is_apply_array_on_the_identity_bit_for_bit(self, rng, nu):
+        op = random_operator(rng, 0.0, nu, 17)
+        assert op.matrix.shape == (len(op.rows), len(op.grid))
+        assert op.matrix.tobytes() == apply_array(op, np.eye(len(op.grid))).tobytes()
+
+    def test_built_once_read_only_and_the_oracles_probe(self, rng):
+        op = random_operator(rng, 0.0, 1.5, 12)
+        assert probe_equation_rows(op) is op.matrix
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 1.0
 
 
 class TestGhostClosure:

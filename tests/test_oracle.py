@@ -227,14 +227,15 @@ class TestProbeRows:
         assert np.all(gap <= 32 * np.finfo(float).eps * np.max(np.abs(want), axis=0))
 
 
-def _per_term_equation_row(op, t, lo, m):
-    """Equation row with one scalar monomial per (row, term) pair: the
-    reference for the assembly's shared kernel list."""
+def _per_term_equation_row(op, t, lo, m, kernel=None):
+    """Equation row with one scalar monomial per (row, term) pair, or, given
+    ``kernel``, H(k) read from it: the reference for the assembly's kernel."""
     n = op.N
     row = np.zeros(m)
     for tau, w in ((t, op.p.at(t)), (t - 1, -op.p.at(t - 1))):
         for s in range(1, tau + 1):
-            kern = w * taylor_monomial(tau - s + 1, n - op.nu - 1.0)
+            k = tau - s + 1
+            kern = w * (taylor_monomial(k, n - op.nu - 1.0) if kernel is None else kernel[k])
             for i in range(n + 1):
                 row[s - i - lo] += kern * (-1) ** i * comb(n, i)
     row[t - 1 - lo] += op.q.at(t)
@@ -257,17 +258,25 @@ class TestEquationRowKernel:
         assert ivp.matrix[2 * op.N:].tobytes() == want.tobytes()
         assert bvp.matrix[2 * op.N:].tobytes() == want.tobytes()
 
-    def test_one_monomial_evaluation_per_offset(self, rng, monkeypatch):
+    @pytest.mark.parametrize("b", [30, 320])
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
+    def test_rows_from_one_running_product_equal_per_offset_monomials(
+            self, rng, monkeypatch, nu, b):
+        op = random_operator(rng, 0.0, nu, b)
+        lo, m = -(op.N - 1), b + op.N
+        kernel = [taylor_monomial(k, op.N - nu - 1.0) for k in range(b + 1)]  # one per offset
+        want = np.array([_per_term_equation_row(op, t, lo, m, kernel)
+                         for t in range(op.N + 1, b + 1)])
         calls = []
 
-        def counting(m, nu):
-            calls.append(m)
-            return taylor_monomial(m, nu)
+        def counting(k, mu):
+            calls.append(k)
+            return taylor_monomial(k, mu)
 
         monkeypatch.setattr(oracle, "taylor_monomial", counting)
-        op = random_operator(rng, 0.0, 1.5, 30)
-        assemble_ivp(op, zero_forcing(op), InitialConditions.zeros(op.N))
-        assert sorted(calls) == list(range(31))
+        sys = assemble_ivp(op, zero_forcing(op), InitialConditions.zeros(op.N))
+        assert sys.matrix[2 * op.N:].tobytes() == want.tobytes()
+        assert len(calls) <= 1  # the kernel is O(b), not b + 1 scalar products
 
 
 class TestIndependence:
