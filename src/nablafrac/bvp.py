@@ -9,6 +9,7 @@ growth does not, and the system is singular exactly when det D = 0."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Sequence
 
@@ -64,6 +65,7 @@ class BoundarySpec:
         return len(self.alpha)
 
     @classmethod
+    @cache  # built, and its alpha rows rank-tested, once per set of values
     def conjugate(cls, A: float = 0.0, B: float = 0.0, C: float = 0.0) -> "BoundarySpec":
         """(2,1) conjugate conditions x(a) = A, nabla x(a+1) = B, x(b) = C."""
         return cls(

@@ -3,7 +3,8 @@
 Subcommands: ``monomial``, ``cauchy``, ``solve-ivp``, ``solve-bvp``,
 ``greens``, ``verify``.  ``greens`` prints the (2,1) conjugate G, the
 closed form when p == 1 and q == 0, else the bordered solve over the
-numeric basis.  Exit codes, none of which ends in a traceback:
+numeric basis, and ``verify`` judges that same G through x = G h.  Exit
+codes, none of which ends in a traceback:
 0 success; 1 a usage error, an invalid config, argument or output path
 (every other ``ValueError`` the package raises for its input included), a
 problem too big for memory, or a stdout closed before the output was
@@ -25,7 +26,7 @@ import sys
 from itertools import accumulate
 from typing import Sequence
 
-from .bvp import BoundarySpec, _bordered_solve, solve_bvp
+from .bvp import BoundarySpec, solve_bvp
 from .errors import (DegenerateDenominatorError, NearSingularError, NonFiniteError,
                      SingularSystemError)
 from .fraccalc import fractional_order_n
@@ -279,21 +280,21 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _require_conjugate_order(op: FracOperator) -> None:
+def _conjugate_greens(op: FracOperator) -> np.ndarray:
+    """The (2,1) conjugate G that ``greens`` prints and ``verify`` judges: the closed
+    form when p == 1 and q == 0, else the bordered solve over the numeric basis."""
     if op.N != 2:
         raise ConfigError("nu", f"the (2,1) conjugate G needs nu in (1, 2), got {op.nu}")
+    if op.is_basic():
+        return conjugate_greens_closed_form(op.a, op.b, op.nu).G
+    return greens_matrix(op, BoundarySpec.conjugate())
 
 
 def cmd_greens(args) -> int:
     cfg = load_config(args.config)
     _problem(cfg, "greens")
     op = build_operator(cfg)
-    _require_conjugate_order(op)
-    if op.is_basic():
-        g = conjugate_greens_closed_form(op.a, op.b, op.nu).G
-    else:
-        g = greens_matrix(op, BoundarySpec.conjugate())
-    g, branch = g.tolist(), _BRANCHES[_regions(op.grid, op.rows)].tolist()
+    g, branch = _conjugate_greens(op).tolist(), _BRANCHES[_regions(op.grid, op.rows)].tolist()
     ts, ss = ([(k, _fmt(op.a + k)) for k in r.offsets()] for r in (op.grid, op.rows))  # once each
     rows = [(*t, *s, _fmt(v), c) for t, gt, bt in zip(ts, g, branch) for s, v, c in zip(ss, gt, bt)]
     _write_csv(args.out, ("t_offset", "t", "s_offset", "s", "G", "branch"), rows)
@@ -324,21 +325,23 @@ def _verify_checks(cfg: dict):
     """Yield (name, measured, report, allowance) tuples.
 
     The residuals read the config's one dense oracle system (the BVP one,
-    with the conjugate spec, for a greens config), not the solvers' rows:
-    ||Lx - h|| and ||Bx - c|| over its equation rows L and side rows B,
-    scaled by ||L|| ||x|| + ||h|| and ||B|| ||x|| + ||c||.  The agreement
-    checks measure their gap relative to max|x| (max|G| for the closed
-    form) of the reference answer; ``report`` also gives the absolute
-    value.  A check passes when ``measured`` is at most the larger of
-    DEFAULT_TOL and its allowance: the oracle's cond_1 * eps for the
-    oracle agreement checks, 0 for the others.  The problem is built and
-    solved before the first check, so that a refused solve prints no
-    check line.  A greens config's G is ``build_greens``'s G over the analytic
-    basis, with no Cauchy function, from one bordered solve of [h | I].
+    with the conjugate spec, for a greens config, whose x is G h with the
+    G that ``greens`` prints), not the solvers' rows: ||Lx - h|| and
+    ||Bx - c|| over its equation rows L and side rows B, scaled by
+    ||L|| ||x|| + ||h|| and ||B|| ||x|| + ||c||.  One reference of the
+    same ghost convention judges each answer: ``greens_matrix`` over the
+    analytic basis a closed-form G, on its stated cells and relative to
+    max|G|, and the oracle's answer every other x, relative to its max|x|;
+    ``report`` also gives the absolute gap.  A check passes when
+    ``measured`` is at most the larger of DEFAULT_TOL and its allowance:
+    the oracle's cond_1 * eps for the oracle agreement checks, 0 for the
+    others.  Everything but the oracle's answer is built and solved before
+    the first check, so that a refused solve prints no check line.
     """
     op = build_operator(cfg)
     h = build_forcing(cfg, op)
     kind, problem = _problem(cfg, "ivp", "bvp", "greens")
+    closed = kind == "greens" and op.is_basic()
     if kind == "ivp":
         ic = build_initial_conditions(problem, op)
         x = solve_ivp(op, h, ic)
@@ -348,15 +351,10 @@ def _verify_checks(cfg: dict):
             spec = build_boundary_spec(problem, op)
             x = solve_bvp(op, h, spec)
         else:
-            _require_conjugate_order(op)
-            if not op.is_basic():
-                raise ConfigError("problem", "greens verification needs p == 1 and q == 0")
-            spec, s, hs = BoundarySpec.conjugate(), len(op.rows), h.values_on(op.rows)
-            sol = _bordered_solve(op, spec, homogeneous_basis(op, analytic=True),
-                                  np.column_stack((hs, np.eye(s))),
-                                  np.column_stack((spec.values, np.zeros((op.N + 1, s)))))
-            x_bvp, g = GridFunction(op.grid, sol[:, 0]), sol[:, 1:]
-            x = GridFunction(op.grid, require_finite(op.grid, g @ hs))
+            spec, g = BoundarySpec.conjugate(), _conjugate_greens(op)
+            x = GridFunction(op.grid, require_finite(op.grid, g @ h.values_on(op.rows)))
+            if closed:
+                g_ref = greens_matrix(op, spec, homogeneous_basis(op, analytic=True))
         dense_sys = assemble_bvp(op, h, spec, GhostClosure.zero())
     # the oracle's rows: N-1 ghost rows, the N+1 side rows, then the equation rows
     rows, rhs, xs = dense_sys.matrix, dense_sys.rhs, x.values
@@ -364,20 +362,17 @@ def _verify_checks(cfg: dict):
 
     probe_gap = float(np.max(np.abs(probe_equation_rows(op) - rows[eq])))
     yield "probe-vs-symbolic-rows", probe_gap, f"max residual {probe_gap:.3e}", 0.0
-    if kind == "greens":
-        closed = conjugate_greens_closed_form(op.a, op.b, op.nu)
+    if closed:
         stated = _regions(op.grid, op.rows) > 0  # the cells compare_greens reads
-        gap = float(np.max(np.abs(g[stated] - closed.G[stated])))
-        yield "greens-closed-form-agreement", *_relative(gap, closed.G[stated], "G"), 0.0
+        gap = float(np.max(np.abs(g_ref[stated] - g[stated])))
+        yield "greens-closed-form-agreement", *_relative(gap, g[stated], "G"), 0.0
     yield f"{kind}-equation-residual", *_scaled(rows[eq], xs, rhs[eq]), 0.0
     if kind != "ivp":
         yield f"{kind}-boundary-residual", *_scaled(rows[side], xs, rhs[side]), 0.0
-    ref = x_bvp if kind == "greens" else dense_solve(dense_sys)
-    rel, report = _relative(float(np.max(np.abs(xs - ref.values))), ref.values)
-    if kind == "greens":
-        yield "greens-vs-bvp-agreement", rel, report, 0.0
-    else:
+    if not closed:
         # the oracle's answer may be off by about cond_1 * eps of max|x|, the allowance
+        ref = dense_solve(dense_sys)
+        rel, report = _relative(float(np.max(np.abs(xs - ref.values))), ref.values)
         yield (f"{kind}-oracle-agreement", rel, f"{report}, oracle cond1 {ref.cond:.3e}",
                ref.cond * np.finfo(float).eps)
 

@@ -119,6 +119,21 @@ class TestBoundarySpec:
         assert spec.left_values == (1.0, 2.0)
         assert spec.right_value == 3.0
 
+    def test_conjugate_rank_tests_its_rows_once(self, monkeypatch):
+        # the rank test is an SVD; the conjugate rows are fixed, so one per set of values
+        ranks = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def counting(*args, **kwargs):
+            ranks.append(1)
+            return matrix_rank(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counting)
+        specs = [BoundarySpec.conjugate(0.25, -0.5, 0.75) for _ in range(3)]
+        assert len(ranks) <= 1
+        assert specs[0] == specs[1] == specs[2] == BoundarySpec(
+            ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (0.25, -0.5), (1.0, 0.0, 0.0), 0.75)
+
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError):
             BoundarySpec(

@@ -71,6 +71,15 @@ VARIABLE_PQ = {"p": {"values": [1.0, 2.0, 1.5, 1.0, 2.0, 1.0, 1.0], "start": 2},
                "q": {"values": [0.1, -0.2, 0.3, 0.0, 0.1, -0.1], "start": 3}}
 
 
+def variable_greens_config(rng, nu, b, q_range):
+    """A greens config with p ~ U(0.5, 1.5), q ~ U(q_range) and h ~ U(-1, 1)."""
+    return {"a": 0.0, "b_offset": b, "nu": nu,
+            "p": {"values": rng.uniform(0.5, 1.5, b - 1).tolist(), "start": 2},
+            "q": {"values": rng.uniform(*q_range, b - 2).tolist(), "start": 3},
+            "h": {"values": rng.uniform(-1.0, 1.0, b - 2).tolist(), "start": 3},
+            "problem": {"type": "greens"}}
+
+
 class TestMonomial:
     def test_table_values_round_trip(self, tmp_path):
         out = tmp_path / "mono.csv"
@@ -420,13 +429,53 @@ class TestVerify:
         assert "check" not in out.out
         assert "problem" in out.err
 
-    def test_greens_needs_basic_operator_before_any_check(self, tmp_path, capsys):
+    def test_greens_with_q_not_zero_passes(self, tmp_path, capsys):
+        # the G that greens prints for this file, judged against the oracle's answer
         cfg = ivp_config(q=0.5, problem={"type": "greens"})
-        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 1
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
         out = capsys.readouterr()
-        assert "check" not in out.out
-        assert out.err == ("error: config field 'problem': greens verification needs "
-                           "p == 1 and q == 0\n")
+        assert "check 3: greens-oracle-agreement" in out.out and out.err == ""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("b", [32, 80])
+    @pytest.mark.parametrize("nu", [1.05, 1.5, 1.95])
+    @pytest.mark.parametrize("q_range", [(-3.0, 0.0), (0.0, 1.0)], ids=["q-neg", "q-pos"])
+    def test_variable_greens_configs_pass(self, tmp_path, capsys, q_range, nu, b, seed):
+        cfg = variable_greens_config(np.random.default_rng(seed), nu, b, q_range)
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().out.endswith("verify: all checks passed\n")
+
+    def test_printed_g_skewed_in_one_column_fails_the_oracle_agreement(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        # column s = a+8 of G off by a relative 1e-6: x = G h is 3.1e-8 of max|x| from
+        # the oracle's answer, while both scaled residuals stay below 1e-8
+        greens_matrix = cli.greens_matrix
+
+        def skewed(*args):
+            g = greens_matrix(*args)
+            g[:, 5] *= 1 + 1e-6
+            return g
+
+        monkeypatch.setattr(cli, "greens_matrix", skewed)
+        cfg = variable_greens_config(np.random.default_rng(0), 1.5, 40, (-3.0, 0.0))
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 13
+        line = capsys.readouterr().out.splitlines()[3]
+        assert line.startswith("check 3: greens-oracle-agreement") and line.endswith("FAIL")
+
+    def test_wrong_bordered_row_fails_the_closed_form_check(self, tmp_path, monkeypatch, capsys):
+        # one equation row of the bordered matrix scaled by 1 + 1e-6, its right-hand
+        # side kept: every column solved with that LU is wrong alike, so only a G
+        # from elsewhere, the closed form, shows it (9.5e-7 of max|G|)
+        def wrong_row(matrix, rhs):
+            matrix = np.array(matrix)
+            matrix[len(matrix) // 2] *= 1 + 1e-6
+            return linalg.gauss_solve(matrix, rhs)
+
+        monkeypatch.setattr(bvp, "gauss_solve", wrong_row)
+        cfg = conjugate_config(b_offset=32)
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 11
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line.startswith("check 1: greens-closed-form-agreement") and line.endswith("FAIL")
 
     def test_greens_order_outside_conjugate_range_before_any_check(self, tmp_path, capsys):
         # the refusal greens gives for the same file
@@ -440,42 +489,48 @@ class TestVerify:
     BVP_CHECKS = ["probe-vs-symbolic-rows", "bvp-equation-residual", "bvp-boundary-residual",
                   "bvp-oracle-agreement"]
 
-    @pytest.mark.parametrize("nu, problem, names", [
-        (1.5, {"type": "ivp", "A": [0.1, -0.2, 0.3]},
+    @pytest.mark.parametrize("nu, problem, coefficients, names", [
+        (1.5, {"type": "ivp", "A": [0.1, -0.2, 0.3]}, {},
          ["probe-vs-symbolic-rows", "ivp-equation-residual", "ivp-oracle-agreement"]),
         (1.5, {"type": "bvp", "alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "A": [0.2, -0.1],
-               "beta": [1.0, 0.0, 0.0], "B": 0.5}, BVP_CHECKS),
+               "beta": [1.0, 0.0, 0.0], "B": 0.5}, {}, BVP_CHECKS),
         # the oracle's side rows start at row N-1, so N = 1 and N = 3 read other slices
         (0.5, {"type": "bvp", "alpha": [[1.0, 0.0]], "A": [0.2], "beta": [1.0, 0.0], "B": 0.5},
-         BVP_CHECKS),
+         {}, BVP_CHECKS),
         (2.5, {"type": "bvp", "alpha": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
                                          [0.0, 0.0, 1.0, 0.0]],
-               "A": [0.2, -0.1, 0.3], "beta": [1.0, 0.0, 0.0, 0.0], "B": 0.5}, BVP_CHECKS),
-        (1.5, {"type": "greens"},
+               "A": [0.2, -0.1, 0.3], "beta": [1.0, 0.0, 0.0, 0.0], "B": 0.5}, {}, BVP_CHECKS),
+        (1.5, {"type": "greens"}, {},
          ["probe-vs-symbolic-rows", "greens-closed-form-agreement",
-          "greens-equation-residual", "greens-boundary-residual", "greens-vs-bvp-agreement"]),
-    ], ids=["ivp", "bvp", "bvp-N1", "bvp-N3", "greens"])
-    def test_check_names_and_order(self, tmp_path, monkeypatch, capsys, nu, problem, names):
-        # with no Cauchy function: G is the bordered solve alone, and the O(b^4)
-        # Cauchy function is only for build_greens's u
+          "greens-equation-residual", "greens-boundary-residual"]),
+        (1.5, {"type": "greens"}, VARIABLE_PQ,
+         ["probe-vs-symbolic-rows", "greens-equation-residual", "greens-boundary-residual",
+          "greens-oracle-agreement"]),
+    ], ids=["ivp", "bvp", "bvp-N1", "bvp-N3", "greens", "greens-variable"])
+    def test_check_names_and_order(self, tmp_path, monkeypatch, capsys, nu, problem,
+                                   coefficients, names):
+        # with no Cauchy function: G is the closed form or the bordered solve alone,
+        # and the O(b^4) Cauchy function is only for build_greens's u
         def no_cauchy(op):
             raise AssertionError("verify called cauchy_function")
 
         for module in (ivp, greens, cli):
             monkeypatch.setattr(module, "cauchy_function", no_cauchy)
-        cfg = ivp_config(nu=nu, problem=problem)
+        cfg = ivp_config(nu=nu, problem=problem, **coefficients)
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("check ")]
         assert [ln.split(": ")[0] for ln in lines] == [f"check {k}" for k in range(len(names))]
         assert [ln.split(": ")[1] for ln in lines] == names
 
-    @pytest.mark.parametrize("problem", [
-        {"type": "ivp", "A": [0.1, -0.2, 0.3]},
-        {"type": "bvp", "alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "A": [0.2, -0.1],
-         "beta": [1.0, 0.0, 0.0], "B": 0.5},
-        {"type": "greens"},
-    ], ids=["ivp", "bvp", "greens"])
-    def test_applies_the_operator_to_an_identity_once(self, tmp_path, monkeypatch, problem):
+    @pytest.mark.parametrize("problem, coefficients", [
+        ({"type": "ivp", "A": [0.1, -0.2, 0.3]}, {"q": 0.3}),
+        ({"type": "bvp", "alpha": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "A": [0.2, -0.1],
+          "beta": [1.0, 0.0, 0.0], "B": 0.5}, {"q": 0.3}),
+        ({"type": "greens"}, {}),
+        ({"type": "greens"}, VARIABLE_PQ),
+    ], ids=["ivp", "bvp", "greens", "greens-variable"])
+    def test_applies_the_operator_to_an_identity_once(self, tmp_path, monkeypatch, problem,
+                                                      coefficients):
         # the solvers and the probe read one op.matrix
         identities = []
 
@@ -487,12 +542,12 @@ class TestVerify:
         for module in [m for name, m in sys.modules.items() if name.startswith("nablafrac")]:
             if hasattr(module, "apply_array"):
                 monkeypatch.setattr(module, "apply_array", counting)
-        cfg = ivp_config(q=0.0 if problem["type"] == "greens" else 0.3, problem=problem)
+        cfg = ivp_config(problem=problem, **coefficients)
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
         assert identities == [len(cli.build_operator(cfg).grid)]
 
     def test_greens_config_factors_its_bordered_system_once(self, tmp_path, monkeypatch):
-        # G and the BVP's answer to h come from one gauss_solve of [h | I]
+        # the printed G is the closed form, and its reference one gauss_solve of I
         calls = []
 
         def counting(matrix, rhs):
@@ -502,7 +557,7 @@ class TestVerify:
         monkeypatch.setattr(bvp, "gauss_solve", counting)
         cfg = conjugate_config(b_offset=12)
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
-        assert calls == [(14 + 3, 1 + 10)]  # b+N values and N+1 coefficients; h, I on 10 rows
+        assert calls == [(14 + 3, 10)]  # b+N values and N+1 coefficients; I on 10 rows
 
     def test_failing_check_exits_ten_plus_its_number(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "DEFAULT_TOL", 1e-300)
