@@ -35,13 +35,12 @@ from .ivp import (
     variation_of_constants,
     zero_forcing,
 )
-from .bvp import BoundarySpec, assemble_d, boundary_rows, solve_bvp
+from .bvp import BoundarySpec, assemble_d, boundary_rows, greens_matrix, solve_bvp
 from .greens import (
     GreensFunction,
     build_greens,
     compare_greens,
     conjugate_greens_closed_form,
-    greens_matrix,
     greens_solve,
 )
 from .oracle import (

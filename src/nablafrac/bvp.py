@@ -1,10 +1,11 @@
 """(N,1) boundary value problems: the boundary functionals as one matrix
 (:func:`boundary_rows`), the D-matrix (:func:`assemble_d`), and the
-bordered system that ``solve_bvp`` and ``greens_matrix`` share.  Its
-unknowns are x on [a-N+1, b] and the basis coefficients c; its rows are
+bordered system, whose layout this module alone knows.  Its unknowns are
+x on [a-N+1, b], then the basis coefficients c; its rows are
 x - sum_k c_k x_k = 0 on the window [a-N+1, a+N], the boundary rows and
 the equation rows, ``op.matrix``.  Only the basis's window enters, so its
-growth does not, and the system is singular exactly when det D = 0."""
+growth does not, and the system is singular exactly when det D = 0.
+``solve_bvp`` solves it, and ``greens_matrix`` reads G off its inverse."""
 
 from __future__ import annotations
 
@@ -126,23 +127,16 @@ def assemble_d(basis: Sequence[GridFunction], spec: BoundarySpec,
     return boundary_rows(spec, op.b_offset) @ _basis_on(basis, spec, op, op.grid).T
 
 
-def _bordered_solve(op: FracOperator, spec: BoundarySpec,
-                    basis: Sequence[GridFunction] | None, h: np.ndarray, values) -> np.ndarray:
-    """x on ``op.grid`` with L x = h on ``op.rows`` and the boundary rows of ``spec``
-    equal to ``values``, within the span of ``basis``, whose window alone enters.
-
-    ``h`` and ``values`` may hold one column per problem.  Raises
-    :class:`NearSingularError` when cond_1 * eps >= 1, and
-    :class:`NonFiniteError` when x is not finite.
-    """
+def _bordered_matrix(op: FracOperator, spec: BoundarySpec,
+                     basis: Sequence[GridFunction] | None) -> np.ndarray:
+    """The bordered system's matrix, its rows and columns in the order above."""
     n, m = op.N, len(op.grid)
     matrix = np.zeros((m + n + 1, m + n + 1))
     matrix[:2 * n, :2 * n] = np.eye(2 * n)
     matrix[:2 * n, m:] = -_basis_on(basis, spec, op, Grid(op.a, 1 - n, n)).T  # [a-N+1, a+N]
     matrix[2 * n:3 * n + 1, :m] = boundary_rows(spec, op.b_offset)
     matrix[3 * n + 1:, :m] = op.matrix
-    rhs = np.concatenate((np.zeros((2 * n,) + h.shape[1:]), values, h))
-    return require_finite(op.grid, gauss_solve(matrix, rhs)[:m])
+    return matrix
 
 
 def solve_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
@@ -153,7 +147,26 @@ def solve_bvp(op: FracOperator, h: GridFunction, spec: BoundarySpec,
     Defaults to the numeric identity-IC basis (zero ghost closure),
     whose window is known without solving an IVP.  Raises
     :class:`NearSingularError` when the system is singular to working
-    precision; in exact arithmetic it is singular iff det D = 0.
+    precision (in exact arithmetic, iff det D = 0), and
+    :class:`NonFiniteError` when x is not finite.
     """
-    x = _bordered_solve(op, spec, basis, h.values_on(op.rows), spec.values)
-    return GridFunction(op.grid, x)
+    rhs = np.concatenate((np.zeros(2 * op.N), spec.values, h.values_on(op.rows)))
+    x = gauss_solve(_bordered_matrix(op, spec, basis), rhs)[:len(op.grid)]
+    return GridFunction(op.grid, require_finite(op.grid, x))
+
+
+def greens_matrix(op: FracOperator, spec: BoundarySpec,
+                  basis: Sequence[GridFunction] | None = None) -> np.ndarray:
+    """G alone, (t, s)-indexed on ``op.grid`` x ``op.rows``, with no Cauchy function.
+
+    Column s of G solves L x = e_s with zero boundary values within the
+    span of ``basis`` (by default the numeric one, as in ``solve_bvp``),
+    so G is the x rows of the bordered inverse's equation-row columns,
+    O(b^3).  The basis's values below a decide G: for the (2,1) conjugate
+    problem with p = 1, q = 0 and b = 40, G over the numeric zero-ghost
+    basis is 33 %, 19 % and 2.9 % of max|G| from the closed form for
+    nu = 1.2, 1.5 and 1.9, and over the analytic basis within 5e-14 of
+    it.  Raises as ``solve_bvp`` does.
+    """
+    inverse = gauss_solve(_bordered_matrix(op, spec, basis))
+    return require_finite(op.grid, inverse[:len(op.grid), 3 * op.N + 1:])

@@ -26,13 +26,13 @@ import sys
 from itertools import accumulate
 from typing import Sequence
 
-from .bvp import BoundarySpec, solve_bvp
+from .bvp import BoundarySpec, greens_matrix, solve_bvp
 from .errors import (DegenerateDenominatorError, NearSingularError, NonFiniteError,
                      SingularSystemError)
 from .fraccalc import fractional_order_n
 from .grid import Grid, GridFunction, constant_grid_function
 from .ivp import InitialConditions, cauchy_function, homogeneous_basis, solve_ivp
-from .greens import _BRANCHES, _regions, conjugate_greens_closed_form, greens_matrix
+from .greens import _BRANCHES, _regions, conjugate_greens_closed_form
 from .monomial import taylor_monomial
 from .operator import FracOperator, GhostClosure, require_finite
 from .oracle import assemble_bvp, assemble_ivp, dense_solve, probe_equation_rows

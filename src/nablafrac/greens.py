@@ -8,10 +8,10 @@ equals u on every cell where u is stated, and G is v on every cell.
 flags the cells outside both regions ``u*``; comparisons read the same
 table as a boolean mask of the stated cells.  The t range reaches down
 to a-N+1 for operator residual checks.  The generic builder takes G from
-the bordered system of :mod:`nablafrac.bvp`, with the identity on its
-equation rows (``greens_matrix``, O(b^3)), and u = G - x(t, s), whose
-Cauchy function costs O(b^4); the closed form, the G that the CLI's
-``greens`` prints when p == 1 and q == 0, needs neither solve nor x.
+:func:`nablafrac.bvp.greens_matrix`, the equation-row block of the
+bordered system's inverse (O(b^3)), and u = G - x(t, s), whose Cauchy
+function costs O(b^4); the closed form, the G that the CLI's ``greens``
+prints when p == 1 and q == 0, needs neither solve nor x.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bvp import BoundarySpec, _bordered_solve
+from .bvp import BoundarySpec, greens_matrix
 from .errors import DegenerateDenominatorError, OffGridError
 from .fraccalc import fractional_order_n
 from .grid import Grid, GridFunction, point_offset
@@ -88,24 +88,6 @@ def _regions(grid: Grid, rows: Grid) -> np.ndarray:
     n, b = rows.lo - 1, rows.hi
     t, s = _grid_offsets(grid, rows)
     return np.where((t >= n) & (s <= t + 1), 2, (t >= 0) & (t <= b - n) & (s >= t + 1))
-
-
-def greens_matrix(op: FracOperator, spec: BoundarySpec,
-                  basis: Sequence[GridFunction] | None = None) -> np.ndarray:
-    """G alone, (t, s)-indexed on ``op.grid`` x ``op.rows``, with no Cauchy function.
-
-    Column s of G solves L x = e_s with zero boundary values within the
-    span of ``basis`` (by default the numeric one, as in ``solve_bvp``), so
-    one bordered solve with the identity on the equation rows gives every
-    column, in O(b^3).  The basis's values below a decide G: for the (2,1)
-    conjugate problem with p = 1, q = 0 and b = 40, G over the numeric
-    zero-ghost basis is 33 %, 19 % and 2.9 % of max|G| from the closed
-    form for nu = 1.2, 1.5 and 1.9, and G over the analytic basis is
-    within 5e-14 of it.  Raises :class:`NearSingularError` as
-    ``solve_bvp`` does.
-    """
-    s = len(op.rows)
-    return _bordered_solve(op, spec, basis, np.eye(s), np.zeros((op.N + 1, s)))
 
 
 def build_greens(op: FracOperator, spec: BoundarySpec,

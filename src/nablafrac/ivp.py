@@ -218,7 +218,8 @@ def homogeneous_basis(op: FracOperator, analytic: bool = False) -> tuple[GridFun
     if analytic:
         if not op.is_basic():
             raise ValueError("analytic basis requires p == 1 and q == 0")
-        whole = [[taylor_monomial(m, float(k)) for m in op.grid.offsets()] for k in range(n)]
+        whole = [np.ones(len(op.grid)), np.arange(op.grid.lo, op.grid.hi + 1.0)][:n]  # H_0, H_1
+        whole += [[taylor_monomial(m, float(k)) for m in op.grid.offsets()] for k in range(2, n)]
         h_nu = np.concatenate((np.zeros(n - 1), kernel_weights(op.b_offset, op.nu)))
         return tuple(GridFunction(op.grid, values) for values in whole + [h_nu])
     h0 = zero_forcing(op)

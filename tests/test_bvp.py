@@ -17,6 +17,7 @@ from nablafrac import (
     assemble_d,
     boundary_rows,
     constant_grid_function,
+    greens_matrix,
     homogeneous_basis,
     make_grid_function,
     residual,
@@ -24,6 +25,7 @@ from nablafrac import (
     taylor_monomial,
     zero_forcing,
 )
+from nablafrac import bvp, linalg
 from conftest import max_gap, mp_solve_bvp, random_forcing, random_operator
 
 
@@ -398,3 +400,24 @@ class TestAgainst50Digits:
         ref = mp_solve_bvp(op, spec, h.values)
         x = solve_bvp(op, h, spec).values
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestGreensMatrix:
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
+    @pytest.mark.parametrize("b", ["N+1", 24, 160])
+    def test_is_the_bordered_solve_of_the_identity_on_the_equation_rows(self, rng, nu, b):
+        # G read off the inverse is, bit for bit, the x rows of the bordered solve
+        # whose right-hand side is the identity on the equation rows and 0 elsewhere
+        n = math.ceil(nu)
+        b = n + 1 if b == "N+1" else b
+        spec = BoundarySpec(tuple(tuple(np.eye(n + 1)[i]) for i in range(n)), (0.0,) * n,
+                            tuple(np.eye(n + 1)[0]), 0.0)
+        basic = FracOperator.constant(0.0, nu, b)
+        cases = [(basic, None), (basic, homogeneous_basis(basic, analytic=True))]
+        if b <= 24:  # with variable p, q the basis outgrows cond_1 * eps < 1 by b = 160
+            cases.append((random_operator(rng, 0.0, nu, b), None))
+        for op, basis in cases:
+            s = len(op.rows)
+            rhs = np.concatenate((np.zeros((3 * n + 1, s)), np.eye(s)))
+            want = linalg.gauss_solve(bvp._bordered_matrix(op, spec, basis), rhs)[:len(op.grid)]
+            assert greens_matrix(op, spec, basis).tobytes() == want.tobytes()

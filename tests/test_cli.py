@@ -463,10 +463,10 @@ class TestVerify:
         assert line.startswith("check 3: greens-oracle-agreement") and line.endswith("FAIL")
 
     def test_wrong_bordered_row_fails_the_closed_form_check(self, tmp_path, monkeypatch, capsys):
-        # one equation row of the bordered matrix scaled by 1 + 1e-6, its right-hand
-        # side kept: every column solved with that LU is wrong alike, so only a G
-        # from elsewhere, the closed form, shows it (9.5e-7 of max|G|)
-        def wrong_row(matrix, rhs):
+        # one equation row of the bordered matrix scaled by 1 + 1e-6: every column
+        # of the inverse formed with that LU is wrong alike, so only a G from
+        # elsewhere, the closed form, shows it (9.5e-7 of max|G|)
+        def wrong_row(matrix, rhs=None):
             matrix = np.array(matrix)
             matrix[len(matrix) // 2] *= 1 + 1e-6
             return linalg.gauss_solve(matrix, rhs)
@@ -547,17 +547,17 @@ class TestVerify:
         assert identities == [len(cli.build_operator(cfg).grid)]
 
     def test_greens_config_factors_its_bordered_system_once(self, tmp_path, monkeypatch):
-        # the printed G is the closed form, and its reference one gauss_solve of I
+        # the printed G is the closed form, and its reference one bordered inverse
         calls = []
 
-        def counting(matrix, rhs):
-            calls.append(np.shape(rhs))
+        def counting(matrix, rhs=None):
+            calls.append((np.shape(matrix), rhs))
             return linalg.gauss_solve(matrix, rhs)
 
         monkeypatch.setattr(bvp, "gauss_solve", counting)
         cfg = conjugate_config(b_offset=12)
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
-        assert calls == [(14 + 3, 10)]  # b+N values and N+1 coefficients; I on 10 rows
+        assert calls == [((14 + 3, 14 + 3), None)]  # b+N values and N+1 coefficients
 
     def test_failing_check_exits_ten_plus_its_number(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "DEFAULT_TOL", 1e-300)

@@ -26,6 +26,7 @@ from nablafrac import (
     variation_of_constants,
     zero_forcing,
 )
+from nablafrac import ivp
 from nablafrac.oracle import assemble_ivp
 from conftest import max_gap, mp_solve_ivp, random_forcing, random_operator
 
@@ -424,6 +425,25 @@ class TestHomogeneousBasis:
             assert b0.at(t) == 1.0
             assert b1.at(t) == float(t)
             assert b2.at(t) == taylor_monomial(t, 1.5)
+
+    @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.3])
+    @pytest.mark.parametrize("b", ["N+1", 32, 320])
+    def test_analytic_whole_orders_are_the_scalar_monomials_bit_for_bit(self, nu, b):
+        n = math.ceil(nu)
+        op = FracOperator.constant(0.0, nu, n + 1 if b == "N+1" else b)
+        basis = homogeneous_basis(op, analytic=True)
+        for k, x in enumerate(basis[:n]):
+            want = np.array([taylor_monomial(m, float(k)) for m in op.grid.offsets()])
+            assert x.values.tobytes() == want.tobytes()  # -0.0 and 0.0 told apart
+
+    @pytest.mark.parametrize("nu", [0.6, 1.5])
+    def test_analytic_basis_below_order_two_calls_no_scalar_monomial(self, monkeypatch, nu):
+        def refuse(m, nu):
+            raise AssertionError("taylor_monomial called")
+
+        monkeypatch.setattr(ivp, "taylor_monomial", refuse)
+        op = FracOperator.constant(0.0, nu, 32)
+        assert len(homogeneous_basis(op, analytic=True)) == op.N + 1
 
     def test_analytic_basis_requires_basic_operator(self, rng):
         op = random_operator(rng, 0.0, 1.5, 9)

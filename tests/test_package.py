@@ -103,3 +103,8 @@ def test_traced_solve_bvp_records_a_gauss_solve_span():
     names = [name for name, _ in spans]
     assert ("linalg.gauss_solve", names.index("bvp.solve_bvp")) in spans
     assert tracer.span_table()["linalg.gauss_solve"]["calls"] == 1
+
+
+def test_greens_matrix_is_bvps_reexported_by_greens():
+    from nablafrac import bvp, greens
+    assert greens.greens_matrix is bvp.greens_matrix is nablafrac.greens_matrix
